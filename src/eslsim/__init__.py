@@ -46,6 +46,7 @@ from .policies import (
     fcfs_decide,
     make_policy,
     optimize_dwell,
+    resolve_dwell,
     switch_to_shortest_decide,
     tuned_dwell,
 )
@@ -59,7 +60,6 @@ from .evaluator import (
     aggregate,
     make_grid,
     grid_dwell_metadata,
-    resolve_dwell,
     run_episode,
     run_grid,
     trace_episode,

@@ -51,10 +51,9 @@ from .mdp import (
 from .model import ModelConfig
 from .policies import (
     POLICY_NAMES,
+    dwell_metadata,
     dwell_objective,
     esl_decide,
-    optimize_dwell,
-    continuous_dwell,
     switch_to_shortest_decide,
 )
 
@@ -132,6 +131,24 @@ def _need(cfg: dict, path: str, key: str, kind, default=None):
     return value
 
 
+def _whole(value) -> bool:
+    """An integer of at least 1; bools are not integers here."""
+    return type(value) is int and value >= 1
+
+
+def _open_unit(value) -> bool:
+    """A float strictly inside (0, 1); YAML reads every such number as a
+    float, and no integer or bool lies there."""
+    return type(value) is float and 0.0 < value < 1.0
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _workers() -> int:
     raw = os.environ.get("ESLSIM_WORKERS", "1")
     try:
@@ -158,7 +175,17 @@ def cmd_simulate(args) -> int:
     if not isinstance(cyclic_cfg, dict):
         raise ConfigError(f"{path}: cyclic: expected a mapping")
     dwell = cyclic_cfg.get("dwell", "tuned")
+    if dwell not in ("tuned", "scan") and not _whole(dwell):
+        raise ConfigError(
+            f"{path}: cyclic.dwell: expected tuned, scan or a whole number "
+            f"of slots >= 1, got {dwell!r}"
+        )
     search_max = cyclic_cfg.get("search_max", 1000)
+    if not _whole(search_max):
+        raise ConfigError(
+            f"{path}: cyclic.search_max: expected an integer >= 1, "
+            f"got {search_max!r}"
+        )
 
     if args.seed is not None:
         base_seed = args.seed
@@ -207,14 +234,11 @@ def cmd_simulate(args) -> int:
     fig_dir = os.path.join(out_dir, "figdata")
     os.makedirs(fig_dir, exist_ok=True)
 
-    csv_path = os.path.join(out_dir, "results.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for res in results:
-            writer.writerow(
-                [_fmt(getattr(res, col)) for col in RESULT_COLUMNS]
-            )
+    _write_csv(
+        os.path.join(out_dir, "results.csv"),
+        RESULT_COLUMNS,
+        [[_fmt(getattr(r, col)) for col in RESULT_COLUMNS] for r in results],
+    )
 
     rows = []
     for res in results:
@@ -247,13 +271,7 @@ def cmd_simulate(args) -> int:
             }
             for c in grid
         ],
-        "dwell_metadata": _round6(
-            grid_dwell_metadata(
-                locations, robots, [float(a) for a in alphas], search_max
-            )
-            if "cyclic" in policies
-            else []
-        ),
+        "dwell_metadata": _round6(grid_dwell_metadata(grid, search_max)),
     }
     with open(
         os.path.join(out_dir, "results.json"), "w", encoding="utf-8"
@@ -266,70 +284,45 @@ def cmd_simulate(args) -> int:
 
 
 def _write_figdata(fig_dir: str, results, policies) -> None:
-    """One CSV per figure panel: grouped bars over load factors."""
-    by_m: dict[int, list] = {}
-    for res in results:
-        by_m.setdefault(res.num_robots, []).append(res)
-    for m, cell_results in sorted(by_m.items()):
-        alphas = sorted({res.alpha for res in cell_results})
+    """One CSV per figure panel: grouped bars over load factors.
+
+    The cost and queue panels hold one row per load with a mean and CI
+    column pair per policy; the fractions panel one row per load and policy.
+    """
+    fractions = ("serve", "serve_ci", "switch", "switch_ci", "idle", "idle_ci")
+    for m in sorted({res.num_robots for res in results}):
+        cell = {(r.alpha, r.policy): r for r in results if r.num_robots == m}
+        alphas = sorted({alpha for alpha, _ in cell})
+
+        def row(alpha, names, cols):
+            return [
+                _fmt(getattr(cell[alpha, name], col))
+                for name in names
+                for col in cols
+            ]
+
         for metric, mean_attr, ci_attr in (
             ("discounted_cost", "discounted_cost_mean", "discounted_cost_ci"),
             ("mean_queue", "mean_q_mean", "mean_q_ci"),
         ):
-            out = os.path.join(fig_dir, f"{metric}_m{m}.csv")
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                header = ["alpha"]
-                for name in policies:
-                    header += [f"{name}_mean", f"{name}_ci"]
-                writer.writerow(header)
-                for alpha in alphas:
-                    row = [_fmt(alpha)]
-                    for name in policies:
-                        res = next(
-                            r
-                            for r in cell_results
-                            if r.alpha == alpha and r.policy == name
-                        )
-                        row += [
-                            _fmt(getattr(res, mean_attr)),
-                            _fmt(getattr(res, ci_attr)),
-                        ]
-                    writer.writerow(row)
-        out = os.path.join(fig_dir, f"fractions_m{m}.csv")
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
+            _write_csv(
+                os.path.join(fig_dir, f"{metric}_m{m}.csv"),
+                ["alpha"]
+                + [f"{name}_{s}" for name in policies for s in ("mean", "ci")],
                 [
-                    "alpha",
-                    "policy",
-                    "serve",
-                    "serve_ci",
-                    "switch",
-                    "switch_ci",
-                    "idle",
-                    "idle_ci",
-                ]
+                    [_fmt(alpha)] + row(alpha, policies, (mean_attr, ci_attr))
+                    for alpha in alphas
+                ],
             )
-            for alpha in alphas:
-                for name in policies:
-                    res = next(
-                        r
-                        for r in cell_results
-                        if r.alpha == alpha and r.policy == name
-                    )
-                    writer.writerow(
-                        [
-                            _fmt(alpha),
-                            name,
-                            _fmt(res.serve),
-                            _fmt(res.serve_ci),
-                            _fmt(res.switch),
-                            _fmt(res.switch_ci),
-                            _fmt(res.idle),
-                            _fmt(res.idle_ci),
-                        ]
-                    )
+        _write_csv(
+            os.path.join(fig_dir, f"fractions_m{m}.csv"),
+            ("alpha", "policy") + fractions,
+            [
+                [_fmt(alpha), name] + row(alpha, (name,), fractions)
+                for alpha in alphas
+                for name in policies
+            ],
+        )
 
 
 def _violation_record(violation) -> dict:
@@ -365,13 +358,28 @@ def cmd_verify(args) -> int:
     scenario_names = coupling_cfg.get("scenarios", list(SCENARIO_NAMES))
     coupling_seeds = coupling_cfg.get("seeds", 200)
     coupling_horizon = coupling_cfg.get("horizon", 2000)
-    coupling_p = float(coupling_cfg.get("p", 0.1))
-    coupling_beta = float(coupling_cfg.get("beta", 0.9))
+    coupling_p = coupling_cfg.get("p", 0.1)
+    coupling_beta = coupling_cfg.get("beta", 0.9)
     for name in scenario_names:
         if name not in SCENARIO_NAMES:
             raise ConfigError(
                 f"{path}: coupling.scenarios: unknown scenario {name!r}"
             )
+    for key, value, valid, want in (
+        ("seeds", coupling_seeds, _whole, "an integer >= 1"),
+        ("horizon", coupling_horizon, _whole, "an integer >= 1"),
+        ("p", coupling_p, _open_unit, "a number strictly in (0, 1)"),
+        ("beta", coupling_beta, _open_unit, "a number strictly in (0, 1)"),
+    ):
+        if not valid(value):
+            raise ConfigError(
+                f"{path}: coupling.{key}: expected {want}, got {value!r}"
+            )
+    if not instances and not scenario_names:
+        raise ConfigError(
+            f"{path}: nothing to verify: no instances and no coupling "
+            "scenarios"
+        )
 
     ok = True
     instance_reports = []
@@ -505,10 +513,12 @@ def cmd_dwell(args) -> int:
     print("t,f")
     for t in range(1, search_max + 1):
         print(f"{t},{_fmt(dwell_objective(p, n, float(n * t)))}")
-    best = optimize_dwell(p, n, search_max)
-    u_star = continuous_dwell(p, n, search_max)
-    print(f"# scan argmin: t*={best} f={_fmt(dwell_objective(p, n, float(n * best)))}")
-    print(f"# continuous argmin: u*={_fmt(u_star)} floor={max(1, math.floor(u_star))}")
+    meta = {k: _fmt(v) for k, v in dwell_metadata(p, n, search_max).items()}
+    print(
+        "# scan argmin: t*={scan_t} f={scan_objective}\n"
+        "# continuous argmin: u*={continuous_u} floor={floor_t}"
+        .format_map(meta)
+    )
     return 0
 
 

@@ -13,7 +13,7 @@ import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,12 +21,19 @@ from .model import (
     SERVE,
     SWITCH,
     ModelConfig,
+    SlotDelta,
     SlotLedger,
     SystemState,
     initial_state,
     step,
 )
-from .policies import POLICY_NAMES, dwell_metadata, make_policy
+from .policies import (
+    POLICY_NAMES,
+    block_size,
+    dwell_metadata,
+    make_policy,
+    resolve_dwell,
+)
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
 
@@ -169,6 +176,47 @@ def run_episode(
     Passing an explicit arrivals table (horizon x N indicators) bypasses the
     seeded draw; tests use that to splice extra arrivals into a path.
     """
+    return _episode_loop(config, seed, arrivals, None)[0]
+
+
+def trace_episode(
+    config: ExperimentConfig,
+    seed: int,
+    arrivals: Sequence[Sequence[int]] | None = None,
+) -> EpisodeTrace:
+    """run_episode with full per-slot bookkeeping.
+
+    Runs the same slot loop as run_episode, with a recorder that keeps each
+    slot's queue total, joint action and arrival/departure vectors.
+    """
+    slots: list[tuple[int, tuple, SlotDelta]] = []
+    metrics, state = _episode_loop(config, seed, arrivals, slots.append)
+    ledger = SlotLedger.empty(config.model.num_locations)
+    for _, _, delta in slots:
+        ledger.record(delta)
+    return EpisodeTrace(
+        metrics,
+        [total for total, _, _ in slots],
+        [joint for _, joint, _ in slots],
+        [delta.arrivals for _, _, delta in slots],
+        [delta.departures for _, _, delta in slots],
+        ledger,
+        state,
+    )
+
+
+def _episode_loop(
+    config: ExperimentConfig,
+    seed: int,
+    arrivals: Sequence[Sequence[int]] | None,
+    record: Callable[[tuple[int, tuple, SlotDelta]], None] | None,
+) -> tuple[EpisodeMetrics, SystemState]:
+    """The slot loop behind run_episode and trace_episode.
+
+    Returns the metrics and the final state.  record, when given, is called
+    once per slot with the tuple (queue total at the start of the slot,
+    joint action, slot delta).
+    """
     model = config.model
     horizon = config.horizon
     policy = make_policy(config.policy, model, **config.policy_params)
@@ -194,66 +242,8 @@ def run_episode(
         joint = decide(state, t)
         state, delta = step(state, joint, arrivals[t])
         observe(delta, t)
-        for act in joint:
-            kind = act.kind
-            if kind == SERVE:
-                serve_ct += 1
-            elif kind == SWITCH:
-                switch_ct += 1
-    robot_slots = model.num_robots * horizon
-    idle_ct = robot_slots - serve_ct - switch_ct
-    return EpisodeMetrics(
-        discounted_cost=discounted,
-        mean_queue_length=queue_total_sum / (horizon * model.num_locations),
-        serve_frac=serve_ct / robot_slots,
-        switch_frac=switch_ct / robot_slots,
-        idle_frac=idle_ct / robot_slots,
-    )
-
-
-def trace_episode(
-    config: ExperimentConfig,
-    seed: int,
-    arrivals: Sequence[Sequence[int]] | None = None,
-) -> EpisodeTrace:
-    """run_episode with full per-slot bookkeeping.
-
-    Same decisions and same arrival stream as run_episode for the same
-    inputs; a regression test pins the metrics equal.
-    """
-    model = config.model
-    horizon = config.horizon
-    policy = make_policy(config.policy, model, **config.policy_params)
-    state = initial_state(model)
-    policy.reset(state)
-    if arrivals is None:
-        arrivals = _pregen_arrivals(model, horizon, seed)
-    elif len(arrivals) < horizon:
-        raise ValueError("arrival table shorter than the horizon")
-    beta = model.discount
-    discounted = 0.0
-    weight = 1.0
-    queue_total_sum = 0
-    serve_ct = 0
-    switch_ct = 0
-    queue_totals: list[int] = []
-    action_path: list[tuple] = []
-    arr_path: list[tuple[int, ...]] = []
-    dep_path: list[tuple[int, ...]] = []
-    ledger = SlotLedger.empty(model.num_locations)
-    for t in range(horizon):
-        total = sum(state.queues)
-        queue_totals.append(total)
-        discounted += weight * total
-        weight *= beta
-        queue_total_sum += total
-        joint = policy.decide(state, t)
-        action_path.append(joint)
-        state, delta = step(state, joint, arrivals[t])
-        policy.observe(delta, t)
-        ledger.record(delta)
-        arr_path.append(delta.arrivals)
-        dep_path.append(delta.departures)
+        if record is not None:
+            record((total, joint, delta))
         for act in joint:
             kind = act.kind
             if kind == SERVE:
@@ -269,9 +259,7 @@ def trace_episode(
         switch_frac=switch_ct / robot_slots,
         idle_frac=idle_ct / robot_slots,
     )
-    return EpisodeTrace(
-        metrics, queue_totals, action_path, arr_path, dep_path, ledger, state
-    )
+    return metrics, state
 
 
 def _ci_half_width(values: Sequence[float]) -> float:
@@ -318,10 +306,6 @@ def aggregate(
     )
 
 
-def _episode_star(args: tuple[ExperimentConfig, int]) -> EpisodeMetrics:
-    return run_episode(args[0], args[1])
-
-
 def run_grid(
     grid: Sequence[ExperimentConfig], workers: int = 1
 ) -> list[AggregateResult]:
@@ -334,14 +318,14 @@ def run_grid(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for config in grid:
-            jobs = [
-                (config, config.base_seed + k)
-                for k in range(config.episodes)
-            ]
+            seeds = range(config.base_seed, config.base_seed + config.episodes)
             if pool is None:
-                metrics = [_episode_star(job) for job in jobs]
+                metrics = [run_episode(config, seed) for seed in seeds]
             else:
-                metrics = list(pool.map(_episode_star, jobs, chunksize=4))
+                configs = [config] * config.episodes
+                metrics = list(
+                    pool.map(run_episode, configs, seeds, chunksize=4)
+                )
             results.append(
                 aggregate(
                     metrics,
@@ -356,22 +340,6 @@ def run_grid(
         if pool is not None:
             pool.shutdown()
     return results
-
-
-def resolve_dwell(rule, p: float, n: int, search_max: int = 1000) -> int:
-    """Turn a dwell rule into whole slots: an integer is taken as-is,
-    "tuned" floors the continuous argmin, "scan" scans integer dwells."""
-    from .policies import optimize_dwell, tuned_dwell
-
-    if isinstance(rule, int) and not isinstance(rule, bool):
-        if rule < 1:
-            raise ValueError("fixed dwell must be at least one slot")
-        return rule
-    if rule == "tuned":
-        return tuned_dwell(p, n, search_max)
-    if rule == "scan":
-        return optimize_dwell(p, n, search_max)
-    raise ValueError(f"unknown dwell rule: {rule!r}")
 
 
 def make_grid(
@@ -394,7 +362,7 @@ def make_grid(
     """
     grid: list[ExperimentConfig] = []
     for m in robots:
-        n_block = -(-num_locations // m)
+        n_block = block_size(num_locations, m)
         for alpha in alphas:
             p = alpha * m / num_locations
             model = ModelConfig.symmetric(num_locations, m, p, discount)
@@ -419,18 +387,21 @@ def make_grid(
 
 
 def grid_dwell_metadata(
-    num_locations: int,
-    robots: Sequence[int],
-    alphas: Sequence[float],
-    search_max: int = 1000,
+    grid: Sequence[ExperimentConfig], search_max: int = 1000
 ) -> list[dict]:
-    """Dwell tuning records (both conventions) for each grid cell."""
+    """Dwell tuning records (both conventions) for each cyclic cell of a
+    grid built by make_grid."""
     out = []
-    for m in robots:
-        n_block = -(-num_locations // m)
-        for alpha in alphas:
-            p = alpha * m / num_locations
-            rec = {"num_robots": m, "alpha": alpha}
-            rec.update(dwell_metadata(p, n_block, search_max))
+    for c in grid:
+        if c.policy == "cyclic":
+            m = c.model.num_robots
+            rec = {"num_robots": m, "alpha": c.alpha}
+            rec.update(
+                dwell_metadata(
+                    c.symmetric_p,
+                    block_size(c.model.num_locations, m),
+                    search_max,
+                )
+            )
             out.append(rec)
     return out

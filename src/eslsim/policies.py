@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .model import (
     IDLE_ACTION,
@@ -35,14 +36,15 @@ class DegenerateRateError(ValueError):
     """Dwell tuning needs an arrival probability strictly inside (0, 1)."""
 
 
-def esl_decide(state: SystemState) -> JointAction:
-    """Serve wherever you stand if tasks wait; send the idle robots to the
-    longest unclaimed nonempty queues.
+def serve_then_seek(state: SystemState, *, longest_first: bool) -> JointAction:
+    """Serve wherever you stand if tasks wait; send the idle robots to
+    unclaimed nonempty queues in target order.
 
     Robots at nonempty locations serve.  The rest are matched, in increasing
     robot index, to distinct unoccupied nonempty locations ordered by queue
-    length (longest first, ties to the lower location index).  Robots left
-    over after the nonempty locations run out idle in place.
+    length (longest first, or shortest first when longest_first is false;
+    ties to the lower location index).  Robots left over after the nonempty
+    locations run out idle in place.
     """
     robots, queues = state
     actions: list[RobotAction | None] = [None] * len(robots)
@@ -59,7 +61,8 @@ def esl_decide(state: SystemState) -> JointAction:
             for i in range(len(queues))
             if queues[i] > 0 and i not in occupied
         ]
-        targets.sort(key=lambda i: (-queues[i], i))
+        sign = -1 if longest_first else 1
+        targets.sort(key=lambda i: (sign * queues[i], i))
         for r, dest in zip(seekers, targets):
             actions[r] = switch_to(dest)
         for r in seekers[len(targets):]:
@@ -67,34 +70,13 @@ def esl_decide(state: SystemState) -> JointAction:
     return tuple(actions)
 
 
-def switch_to_shortest_decide(state: SystemState) -> JointAction:
-    """Deliberately bad variant of esl_decide that targets the shortest
-    nonempty queues instead of the longest.
+# The paper's exhaustive-serve-longest rule.
+esl_decide = partial(serve_then_seek, longest_first=True)
 
-    Exists so the exact-solver optimality checker can be shown to catch a
-    rule that breaks the longest-first preference.
-    """
-    robots, queues = state
-    actions: list[RobotAction | None] = [None] * len(robots)
-    seekers: list[int] = []
-    for r, loc in enumerate(robots):
-        if queues[loc] > 0:
-            actions[r] = SERVE_ACTION
-        else:
-            seekers.append(r)
-    if seekers:
-        occupied = set(robots)
-        targets = [
-            i
-            for i in range(len(queues))
-            if queues[i] > 0 and i not in occupied
-        ]
-        targets.sort(key=lambda i: (queues[i], i))
-        for r, dest in zip(seekers, targets):
-            actions[r] = switch_to(dest)
-        for r in seekers[len(targets):]:
-            actions[r] = IDLE_ACTION
-    return tuple(actions)
+# Deliberately bad variant that targets the shortest nonempty queues; it
+# exists so the exact-solver optimality checker can be shown to catch a rule
+# that breaks the longest-first preference.
+switch_to_shortest_decide = partial(serve_then_seek, longest_first=False)
 
 
 class TaskAgeBook:
@@ -134,9 +116,7 @@ class TaskAgeBook:
                 raise AgeBookDesyncError("age book desync")
 
 
-def fcfs_decide(
-    state: SystemState, book: TaskAgeBook, now: int
-) -> JointAction:
+def fcfs_decide(state: SystemState, book: TaskAgeBook) -> JointAction:
     """Chase the globally oldest waiting tasks, first come first served.
 
     Nonempty locations are ranked by the arrival slot of their oldest task
@@ -149,7 +129,6 @@ def fcfs_decide(
     leaving.  Robots left unmatched serve their own queue if it is nonempty
     and idle otherwise.
     """
-    del now  # ranking depends only on stamp order
     book.check(state)
     robots, queues = state
     num_robots = len(robots)
@@ -281,13 +260,15 @@ def dwell_objective(p: float, n: int, total_time: float) -> float:
     return (total_time + n - u + u * g) / (1.0 - g)
 
 
-def optimize_dwell(p: float, n: int, search_max: int = 1000) -> int:
-    """Best whole-slot dwell per location by direct scan.
+def block_size(num_locations: int, num_robots: int) -> int:
+    """Locations in the largest patrol block, ceil(N / M): the block the
+    cyclic dwell is tuned for."""
+    return -(-num_locations // num_robots)
 
-    Evaluates the patrol objective at total_time = n * t for every integer
-    t in [1, search_max] and returns the argmin, preferring the smaller t
-    on ties.
-    """
+
+def _dwell_scan(p: float, n: int, search_max: int) -> tuple[int, float]:
+    """Integer dwell t in [1, search_max] minimizing the patrol objective at
+    total_time = n * t, preferring the smaller t on ties, with its value."""
     if not 0.0 < p < 1.0:
         raise DegenerateRateError("degenerate rate")
     if n < 1:
@@ -300,65 +281,89 @@ def optimize_dwell(p: float, n: int, search_max: int = 1000) -> int:
         f = dwell_objective(p, n, float(n * t))
         if f < best_f:
             best_t, best_f = t, f
-    return best_t
+    return best_t, best_f
 
 
-def continuous_dwell(p: float, n: int, search_max: int = 1000) -> float:
-    """Real-valued dwell minimizing the patrol objective.
-
-    Returns the unconstrained per-location dwell u* (total sweep time
-    divided by n).  A coarse integer scan brackets the minimum, then a
-    bounded scalar minimize polishes it.
-    """
-    from scipy.optimize import minimize_scalar
-
-    if not 0.0 < p < 1.0:
-        raise DegenerateRateError("degenerate rate")
-    if n < 1:
-        raise ValueError("block size must be at least 1")
-    best_u = 1
-    best_f = dwell_objective(p, n, float(n))
-    for u in range(2, search_max + 1):
-        f = dwell_objective(p, n, float(n * u))
-        if f < best_f:
-            best_u, best_f = u, f
-    lo = max(best_u - 1, 1e-6)
-    hi = min(best_u + 1, float(search_max))
-    res = minimize_scalar(
-        lambda u: dwell_objective(p, n, n * u),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return float(res.x)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def tuned_dwell(p: float, n: int, search_max: int = 1000) -> int:
-    """Whole-slot dwell used by the benchmark cyclic policy: minimize the
-    patrol objective over continuous dwell, then round down (floor, but
-    never below one slot)."""
-    u_star = continuous_dwell(p, n, search_max)
-    return max(1, math.floor(u_star))
+def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi], to within xatol."""
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2.0
 
 
 def dwell_metadata(p: float, n: int, search_max: int = 1000) -> dict:
     """Both dwell tuning conventions with their objective values, for run
-    manifests: the integer scan argmin and the floored continuous argmin."""
-    t_scan = optimize_dwell(p, n, search_max)
-    u_star = continuous_dwell(p, n, search_max)
+    manifests: the integer scan argmin and the floored continuous argmin.
+
+    The continuous argmin u* polishes the scan's argmin t* by golden-section
+    search over [t* - 1, t* + 1], clipped to (0, search_max].
+    """
+    t_scan, f_scan = _dwell_scan(p, n, search_max)
+    u_star = _golden_section(
+        lambda u: dwell_objective(p, n, n * u),
+        max(t_scan - 1, 1e-6),
+        min(t_scan + 1, float(search_max)),
+        1e-9,
+    )
     t_floor = max(1, math.floor(u_star))
     t_ceil = t_floor + 1
     return {
         "p": p,
         "block_size": n,
         "scan_t": t_scan,
-        "scan_objective": dwell_objective(p, n, float(n * t_scan)),
+        "scan_objective": f_scan,
         "continuous_u": u_star,
         "floor_t": t_floor,
         "floor_objective": dwell_objective(p, n, float(n * t_floor)),
         "ceil_t": t_ceil,
         "ceil_objective": dwell_objective(p, n, float(n * t_ceil)),
     }
+
+
+def optimize_dwell(p: float, n: int, search_max: int = 1000) -> int:
+    """Best whole-slot dwell per location by direct scan over
+    [1, search_max], preferring the smaller dwell on ties."""
+    return _dwell_scan(p, n, search_max)[0]
+
+
+def continuous_dwell(p: float, n: int, search_max: int = 1000) -> float:
+    """Real-valued per-location dwell u* (total sweep time divided by n)
+    minimizing the patrol objective."""
+    return dwell_metadata(p, n, search_max)["continuous_u"]
+
+
+def tuned_dwell(p: float, n: int, search_max: int = 1000) -> int:
+    """Whole-slot dwell used by the benchmark cyclic policy: minimize the
+    patrol objective over continuous dwell, then round down (floor, but
+    never below one slot)."""
+    return dwell_metadata(p, n, search_max)["floor_t"]
+
+
+def resolve_dwell(rule, p: float, n: int, search_max: int = 1000) -> int:
+    """Turn a dwell rule into whole slots: an integer is taken as-is,
+    "tuned" floors the continuous argmin, "scan" scans integer dwells."""
+    if isinstance(rule, int) and not isinstance(rule, bool):
+        if rule < 1:
+            raise ValueError("fixed dwell must be at least one slot")
+        return rule
+    if rule == "tuned":
+        return tuned_dwell(p, n, search_max)
+    if rule == "scan":
+        return optimize_dwell(p, n, search_max)
+    raise ValueError(f"unknown dwell rule: {rule!r}")
 
 
 class EslPolicy:
@@ -390,7 +395,7 @@ class FcfsPolicy:
         self.book = TaskAgeBook.from_state(state, 0)
 
     def decide(self, state: SystemState, now: int) -> JointAction:
-        return fcfs_decide(state, self.book, now)
+        return fcfs_decide(state, self.book)
 
     def observe(self, delta: SlotDelta, now: int) -> None:
         self.book.record(delta, now)
@@ -435,14 +440,15 @@ def make_policy(name: str, model: ModelConfig, **params):
     if name == "cyclic":
         t_dwell = params.get("t_dwell")
         if t_dwell is None:
-            probs = set(model.arrival_probs)
-            if len(probs) != 1:
+            if len(set(model.arrival_probs)) != 1:
                 raise ValueError(
                     "automatic dwell tuning needs symmetric arrival rates"
                 )
-            n = -(-model.num_locations // model.num_robots)  # ceil
-            t_dwell = tuned_dwell(
-                model.arrival_probs[0], n, params.get("search_max", 1000)
+            t_dwell = resolve_dwell(
+                "tuned",
+                model.arrival_probs[0],
+                block_size(model.num_locations, model.num_robots),
+                params.get("search_max", 1000),
             )
         return CyclicPolicy(
             model.num_locations, model.num_robots, int(t_dwell)

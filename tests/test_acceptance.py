@@ -192,7 +192,7 @@ def test_criterion_6_invariant_suites():
         book = TaskAgeBook(
             [deque(sorted(rng.randint(0, 30) for _ in range(q))) for q in s.queues]
         )
-        assert is_feasible(s, fcfs_decide(s, book, now=31))
+        assert is_feasible(s, fcfs_decide(s, book))
     for _ in range(100_000):
         n = rng.randint(2, 6)
         m = rng.randint(1, n)

@@ -2,11 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eslsim
 from eslsim.cli import RESULT_COLUMNS, main
 from eslsim.policies import optimize_dwell
+
+REPO = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def config_text(**overrides):
@@ -122,6 +130,71 @@ def test_bad_config_values_rejected(tmp_path, capsys, overrides, needle):
     assert "bad.yaml" in err
 
 
+@pytest.mark.parametrize(
+    "cyclic,key",
+    [
+        ("dwell: 0", "cyclic.dwell"),
+        ("dwell: -3", "cyclic.dwell"),
+        ("dwell: fast", "cyclic.dwell"),
+        ("dwell: true", "cyclic.dwell"),
+        ("dwell: 2\n  search_max: 0", "cyclic.search_max"),
+        ("dwell: tuned\n  search_max: 2.5", "cyclic.search_max"),
+        ("dwell: tuned\n  search_max: many", "cyclic.search_max"),
+    ],
+)
+def test_bad_cyclic_settings_rejected(tmp_path, capsys, cyclic, key):
+    text = config_text().replace("  dwell: 2", f"  {cyclic}")
+    cfg = write(tmp_path / "bad.yaml", text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smoke_grid_output_pinned(tmp_path):
+    """results.csv and the dwell records of the shipped smoke grid, as the
+    scipy-tuned release wrote them."""
+    out = tmp_path / "out"
+    cfg = str(REPO / "configs" / "smoke_grid.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "results.csv").read_bytes() == (
+        DATA / "smoke_grid_results.csv"
+    ).read_bytes()
+    manifest = json.loads((out / "results.json").read_text())["manifest"]
+    assert manifest["dwell_metadata"] == json.loads(
+        (DATA / "smoke_grid_dwell_metadata.json").read_text()
+    )
+
+
+def test_tuned_simulate_does_not_import_scipy(tmp_path):
+    cfg = write(
+        tmp_path / "grid.yaml",
+        config_text(robots="[2]", policies="[cyclic]", horizon="50").replace(
+            "dwell: 2", "dwell: tuned"
+        ),
+    )
+    script = (
+        "import sys\n"
+        "from eslsim.cli import main\n"
+        f"assert main(['simulate', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eslsim.__file__)))
+    env = dict(os.environ, ESLSIM_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_worker_env_validated(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path / "grid.yaml", config_text())
     monkeypatch.setenv("ESLSIM_WORKERS", "zero")
@@ -209,6 +282,32 @@ def test_verify_budget_exceeded(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
     assert "state space too large" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "coupling,needle",
+    [
+        ("  seeds: 0", "coupling.seeds: "),
+        ("  seeds: -5", "coupling.seeds: "),
+        ("  seeds: 2.5", "coupling.seeds: "),
+        ("  horizon: 0", "coupling.horizon: "),
+        ("  p: 0.0", "coupling.p: "),
+        ("  p: 1.5", "coupling.p: "),
+        ("  p: often", "coupling.p: "),
+        ("  beta: 1.0", "coupling.beta: "),
+        ("  beta: true", "coupling.beta: "),
+        ("  scenarios: []", "nothing to verify"),
+    ],
+)
+def test_verify_that_checks_nothing_is_rejected(
+    tmp_path, capsys, coupling, needle
+):
+    text = f"instances: []\ncoupling:\n{coupling}\n"
+    cfg = write(tmp_path / "verify.yaml", text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}: {needle}" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
 
 

@@ -99,19 +99,19 @@ def book_with(stamps_by_loc):
 def test_fcfs_chases_the_older_task_elsewhere():
     state = SystemState((0,), (1, 1))
     book = book_with([[4], [0]])
-    assert fcfs_decide(state, book, now=9) == (switch_to(1),)
+    assert fcfs_decide(state, book) == (switch_to(1),)
 
 
 def test_fcfs_tie_prefers_staying():
     state = SystemState((0,), (1, 1))
     book = book_with([[3], [3]])
-    assert fcfs_decide(state, book, now=10) == (SERVE_ACTION,)
+    assert fcfs_decide(state, book) == (SERVE_ACTION,)
 
 
 def test_fcfs_equal_ages_both_serve():
     state = SystemState((0, 1), (1, 1, 0))
     book = book_with([[2], [2], []])
-    assert fcfs_decide(state, book, now=6) == (SERVE_ACTION, SERVE_ACTION)
+    assert fcfs_decide(state, book) == (SERVE_ACTION, SERVE_ACTION)
 
 
 def test_fcfs_incomer_may_take_a_leaving_hosts_location():
@@ -119,7 +119,7 @@ def test_fcfs_incomer_may_take_a_leaving_hosts_location():
     # sits at 0, which robot 1 may enter because its host is leaving
     state = SystemState((0, 1), (1, 1, 1))
     book = book_with([[3], [7], [0]])
-    joint = fcfs_decide(state, book, now=8)
+    joint = fcfs_decide(state, book)
     assert joint == (switch_to(2), switch_to(0))
     assert is_feasible(state, joint)
 
@@ -128,7 +128,7 @@ def test_fcfs_detects_age_book_desync():
     state = SystemState((0,), (2, 0))
     book = book_with([[1], []])
     with pytest.raises(AgeBookDesyncError, match="age book desync"):
-        fcfs_decide(state, book, now=3)
+        fcfs_decide(state, book)
 
 
 @given(st.data())
@@ -139,7 +139,7 @@ def test_fcfs_decisions_feasible(data):
         sorted(data.draw(st.lists(st.integers(0, 30), min_size=q, max_size=q)))
         for q in state.queues
     ]
-    joint = fcfs_decide(state, book_with(stamps), now=31)
+    joint = fcfs_decide(state, book_with(stamps))
     assert is_feasible(state, joint)
 
 
@@ -276,6 +276,23 @@ def test_benchmark_dwells():
     """Floored continuous argmin across the six benchmark cells."""
     assert [tuned_dwell(a / 3, 3) for a in (0.2, 0.5, 0.8)] == [7, 4, 3]
     assert [tuned_dwell(a / 2, 2) for a in (0.2, 0.5, 0.8)] == [8, 4, 2]
+
+
+@pytest.mark.parametrize(
+    "func", [optimize_dwell, tuned_dwell, continuous_dwell, dwell_metadata]
+)
+def test_search_max_checked(func):
+    with pytest.raises(ValueError, match="search_max must be at least 1"):
+        func(0.1, 2, 0)
+
+
+def test_continuous_dwell_pinned():
+    """Continuous argmin to 6 significant digits on the six benchmark cells,
+    as the scipy bounded minimizer found them."""
+    got = [f"{continuous_dwell(a / 3, 3):.6g}" for a in (0.2, 0.5, 0.8)]
+    assert got == ["7.49821", "4.22468", "3.05767"]
+    got = [f"{continuous_dwell(a / 2, 2):.6g}" for a in (0.2, 0.5, 0.8)]
+    assert got == ["8.0488", "4.07545", "2.75171"]
 
 
 def test_dwell_metadata_consistent():
