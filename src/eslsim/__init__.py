@@ -62,9 +62,11 @@ from .evaluator import (
     grid_dwell_metadata,
     run_episode,
     run_grid,
+    run_lockstep,
     trace_episode,
 )
 from .mdp import (
+    ConvergenceError,
     StateSpaceTooLargeError,
     TruncatedMdp,
     ValueTable,

@@ -7,11 +7,12 @@ Subcommands:
   dwell    --p REAL --n INT [--max INT]
 
 Configs are YAML (key-value with nested sections); schemas are documented
-in the README and the shipped files under configs/.  The ESLSIM_WORKERS
-environment variable sets the episode worker-process count for simulate
-(default 1).  All emitted numbers carry 6 significant digits and output is
-deterministic: rerunning simulate with the same config, seed and build
-yields a byte-identical results.csv.
+in the README and the shipped files under configs/; unknown keys are
+rejected.  The ESLSIM_WORKERS environment variable sets how many worker
+processes simulate runs its lane groups in (default 1).  All emitted
+numbers carry 6 significant digits and output is deterministic: rerunning
+simulate with the same config, seed and build yields a byte-identical
+results.csv.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .evaluator import (
     run_grid,
 )
 from .mdp import (
+    ConvergenceError,
     StateSpaceTooLargeError,
     build_truncated_mdp,
     check_esl_optimality,
@@ -72,6 +74,31 @@ RESULT_COLUMNS = (
     "idle",
     "idle_ci",
 )
+
+SIMULATE_KEYS = (
+    "locations",
+    "robots",
+    "alphas",
+    "policies",
+    "horizon",
+    "episodes",
+    "beta",
+    "base_seed",
+    "cyclic",
+)
+CYCLIC_KEYS = ("dwell", "search_max")
+VERIFY_KEYS = ("rule", "instances", "coupling")
+INSTANCE_KEYS = (
+    "locations",
+    "robots",
+    "cap",
+    "p",
+    "beta",
+    "tol",
+    "margin",
+    "tie_tol",
+)
+COUPLING_KEYS = ("scenarios", "seeds", "horizon", "p", "beta")
 
 CHECK_RULES = {
     "esl": esl_decide,
@@ -116,19 +143,36 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
-def _need(cfg: dict, path: str, key: str, kind, default=None):
+def _need(cfg: dict, path: str, key: str, kind, default=None, where=""):
+    """cfg[key] checked against kind, or default when the key is absent;
+    where prefixes the key in messages (e.g. "instances[0].")."""
     if key not in cfg:
         if default is not None:
             return default
-        raise ConfigError(f"{path}: {key}: missing required key")
+        raise ConfigError(f"{path}: {where}{key}: missing required key")
     value = cfg[key]
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(
-            f"{path}: {key}: expected {getattr(kind, '__name__', kind)}"
+            f"{path}: {where}{key}: expected "
+            f"{getattr(kind, '__name__', kind)}"
         )
     return value
+
+
+def _known_keys(cfg: dict, path: str, allowed, where="") -> None:
+    """Reject any key of cfg not in allowed, so a misspelt key fails
+    instead of silently leaving its default in force."""
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigError(f"{path}: {where}{key}: unknown key")
+
+
+def _distinct(values: list, path: str, key: str) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{path}: {key}: duplicate entry {value!r}")
 
 
 def _whole(value) -> bool:
@@ -163,6 +207,7 @@ def _workers() -> int:
 def cmd_simulate(args) -> int:
     path = args.config
     cfg = _load_yaml(path)
+    _known_keys(cfg, path, SIMULATE_KEYS)
     locations = _need(cfg, path, "locations", int, 6)
     robots = _need(cfg, path, "robots", list, [2, 3])
     alphas = _need(cfg, path, "alphas", list, [0.2, 0.5, 0.8])
@@ -174,6 +219,7 @@ def cmd_simulate(args) -> int:
     cyclic_cfg = cfg.get("cyclic", {})
     if not isinstance(cyclic_cfg, dict):
         raise ConfigError(f"{path}: cyclic: expected a mapping")
+    _known_keys(cyclic_cfg, path, CYCLIC_KEYS, "cyclic.")
     dwell = cyclic_cfg.get("dwell", "tuned")
     if dwell not in ("tuned", "scan") and not _whole(dwell):
         raise ConfigError(
@@ -203,6 +249,12 @@ def cmd_simulate(args) -> int:
     for name in policies:
         if name not in POLICY_NAMES:
             raise ConfigError(f"{path}: policies: unknown policy {name!r}")
+    for key, values in (
+        ("robots", robots),
+        ("alphas", alphas),
+        ("policies", policies),
+    ):
+        _distinct(values, path, key)
     if horizon < 1:
         raise ConfigError(f"{path}: horizon: must be at least 1")
     if episodes < 2:
@@ -344,9 +396,40 @@ def _violation_record(violation) -> dict:
     return rec
 
 
+def _instance(inst, path: str, i: int):
+    """One verify instance, checked before anything is solved: returns
+    (model, cap, tol, margin, tie_tol)."""
+    where = f"instances[{i}]."
+    if not isinstance(inst, dict):
+        raise ConfigError(f"{path}: instances[{i}]: expected a mapping")
+    _known_keys(inst, path, INSTANCE_KEYS, where)
+    locations = _need(inst, path, "locations", int, where=where)
+    robots = _need(inst, path, "robots", int, where=where)
+    cap = _need(inst, path, "cap", int, where=where)
+    p = _need(inst, path, "p", float, where=where)
+    beta = _need(inst, path, "beta", float, 0.9, where)
+    tol = _need(inst, path, "tol", float, 1e-10, where)
+    margin = _need(inst, path, "margin", int, 3, where)
+    tie_tol = _need(inst, path, "tie_tol", float, 1e-9, where)
+    for key, bad, want in (
+        ("cap", cap < 1, "must be at least 1"),
+        ("margin", not 1 <= margin < cap, "must satisfy 1 <= margin < cap"),
+        ("tol", tol <= 0.0, "must be positive"),
+        ("tie_tol", tie_tol < 0.0, "must be non-negative"),
+    ):
+        if bad:
+            raise ConfigError(f"{path}: {where}{key}: {want}")
+    try:
+        model = ModelConfig.symmetric(locations, robots, p, beta)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: instances[{i}]: {exc}")
+    return model, cap, tol, margin, tie_tol
+
+
 def cmd_verify(args) -> int:
     path = args.config
     cfg = _load_yaml(path)
+    _known_keys(cfg, path, VERIFY_KEYS)
     instances = _need(cfg, path, "instances", list)
     rule_name = cfg.get("rule", "esl")
     if rule_name not in CHECK_RULES:
@@ -355,6 +438,7 @@ def cmd_verify(args) -> int:
     coupling_cfg = cfg.get("coupling", {})
     if not isinstance(coupling_cfg, dict):
         raise ConfigError(f"{path}: coupling: expected a mapping")
+    _known_keys(coupling_cfg, path, COUPLING_KEYS, "coupling.")
     scenario_names = coupling_cfg.get("scenarios", list(SCENARIO_NAMES))
     coupling_seeds = coupling_cfg.get("seeds", 200)
     coupling_horizon = coupling_cfg.get("horizon", 2000)
@@ -380,34 +464,29 @@ def cmd_verify(args) -> int:
             f"{path}: nothing to verify: no instances and no coupling "
             "scenarios"
         )
+    specs = [_instance(inst, path, i) for i, inst in enumerate(instances)]
 
     ok = True
     instance_reports = []
-    for i, inst in enumerate(instances):
-        if not isinstance(inst, dict):
-            raise ConfigError(f"{path}: instances[{i}]: expected a mapping")
+    for i, (model, cap, tol, margin, tie_tol) in enumerate(specs):
         key = f"instances[{i}]"
-        locations = _need(inst, path, "locations", int)
-        robots = _need(inst, path, "robots", int)
-        cap = _need(inst, path, "cap", int)
-        p = _need(inst, path, "p", float)
-        beta = _need(inst, path, "beta", float, 0.9)
-        tol = _need(inst, path, "tol", float, 1e-10)
-        margin = _need(inst, path, "margin", int, 3)
-        tie_tol = _need(inst, path, "tie_tol", float, 1e-9)
-        try:
-            model = ModelConfig.symmetric(locations, robots, p, beta)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {key}: {exc}")
+        locations, robots = model.num_locations, model.num_robots
+        p, beta = model.arrival_probs[0], model.discount
         try:
             mdp = build_truncated_mdp(model, cap)
         except StateSpaceTooLargeError:
             print(f"{path}: {key}: state space too large", file=sys.stderr)
             return 3
-        table = value_iteration(mdp, tol)
-        violations = check_esl_optimality(
-            mdp, table, margin, tie_tol=tie_tol, rule=rule
-        )
+        try:
+            table = value_iteration(mdp, tol)
+        except ConvergenceError as exc:
+            raise ConfigError(f"{path}: {key}.tol: {exc}")
+        try:
+            violations = check_esl_optimality(
+                mdp, table, margin, tie_tol=tie_tol, rule=rule
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}")
         if violations:
             ok = False
         instance_reports.append(

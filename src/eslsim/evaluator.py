@@ -5,13 +5,16 @@ Episodes are deterministic functions of (config, seed).  Arrival coins for a
 whole episode are drawn up front from the seed, so two policies evaluated
 with the same seed face identical arrival sample paths (common random
 numbers) no matter how their decisions differ.
+
+run_episode is the reference slot loop.  run_grid runs large groups of
+episodes through run_lockstep, which advances many episodes together as
+integer arrays and reproduces run_episode's metrics exactly.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,6 +23,7 @@ import numpy as np
 from .model import (
     SERVE,
     SWITCH,
+    InfeasibleActionError,
     ModelConfig,
     SlotDelta,
     SlotLedger,
@@ -262,6 +266,272 @@ def _episode_loop(
     return metrics, state
 
 
+# A group of episodes with fewer lanes than this runs episode by episode
+# through run_episode: below it the lockstep engine's fixed numpy cost per
+# slot outweighs the lanes it shares that cost across.
+LOCKSTEP_MIN_LANES = 10
+
+# Arrival-table rows drawn per generator call; PCG64 yields the same stream
+# whether the rows come at once or in chunks.
+_ARRIVAL_CHUNK_ROWS = 1024
+
+
+class LockstepLanes:
+    """R episodes of one (N, M) instance, advanced together one slot at a
+    time: robots is an (R, M) and queues an (R, N) integer array, each row
+    one lane's SystemState.  Lanes start from initial_state."""
+
+    def __init__(self, num_lanes: int, num_locations: int, num_robots: int):
+        self.num_locations = num_locations
+        self.robots = np.tile(np.arange(num_robots), (num_lanes, 1))
+        self.queues = np.zeros((num_lanes, num_locations), dtype=np.int64)
+        self._flat = self.queues.reshape(-1)
+        # offset of each lane's row in the flattened queue array
+        self.base = np.arange(num_lanes)[:, None] * num_locations
+        self.pos = self.base + self.robots
+
+    def local(self) -> np.ndarray:
+        """(R, M) queue length where each robot stands."""
+        return self._flat.take(self.pos)
+
+    def step(
+        self, serve: np.ndarray, end: np.ndarray, arrivals: np.ndarray
+    ) -> None:
+        """Serve, move, then add the slot's (R, N) arrivals, in every lane.
+
+        serve[k, r] says robot r of lane k serves where it stands; end[k, r]
+        is where it ends the slot (its own location unless it switches).
+        Raises InfeasibleActionError, as step does, when any lane serves an
+        empty queue, serves while moving, leaves the map or puts two robots
+        on one location; nothing is applied then.
+        """
+        local = self.local()
+        bad = serve & ((local <= 0) | (end != self.robots))
+        bad |= (end < 0) | (end >= self.num_locations)
+        pos = self.base + end
+        # once every end is on the map, robots sharing an end location
+        # share a flat index
+        if bad.any() or np.bincount(pos.reshape(-1)).max() > 1:
+            raise InfeasibleActionError("infeasible action")
+        self._flat[self.pos] = local - serve
+        self.robots = end
+        self.pos = pos
+        np.add(self.queues, arrivals, out=self.queues)
+
+
+def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
+    """esl_decide in every lane: robots on nonempty queues serve; the k-th
+    remaining robot (by index) takes the k-th unoccupied nonempty location
+    ordered by (-queue, index), and robots past the last target idle."""
+    serve = local > 0
+    seek = ~serve
+    if not seek.any():
+        return serve, lanes.robots
+    queues = lanes.queues
+    free = queues > 0
+    free.reshape(-1)[lanes.pos] = False
+    order = np.argsort(np.where(free, -queues, 1), axis=1, kind="stable")
+    rank = np.cumsum(seek, axis=1) - 1
+    gets = seek & (rank < free.sum(axis=1, keepdims=True))
+    dest = order.reshape(-1).take(lanes.base + rank)
+    return serve, np.where(gets, dest, lanes.robots)
+
+
+def _cyclic_lockstep(group: Sequence[tuple[ExperimentConfig, int]]):
+    """cyclic_decide in every lane, with per-lane dwell: cursor and
+    counter arrays over the contiguous blocks of CyclicPlan.build."""
+    plans = [
+        make_policy(c.policy, c.model, **c.policy_params).plan
+        for c, _ in group
+    ]
+    blocks = plans[0].blocks
+    start = np.array([b[0] for b in blocks])
+    size = np.array([len(b) for b in blocks])
+    multi = size > 1
+    dwell = np.array([[plan.t_dwell] for plan in plans])
+    cursor = np.zeros((len(group), len(blocks)), dtype=np.int64)
+    counter = np.repeat(dwell, len(blocks), axis=1)
+
+    def decide(lanes: LockstepLanes, local: np.ndarray):
+        nonlocal cursor, counter
+        robots = lanes.robots
+        at_post = robots == start + cursor
+        dwelling = at_post & (~multi | (counter > 0))
+        advance = at_post & ~dwelling
+        counter = counter - (dwelling & multi)
+        if advance.any():
+            cursor = np.where(advance, (cursor + 1) % size, cursor)
+            counter = np.where(advance, dwell, counter)
+        return dwelling & (local > 0), np.where(
+            dwelling, robots, start + cursor
+        )
+
+    return decide
+
+
+def _fcfs_lockstep(table: np.ndarray, num_robots: int):
+    """fcfs_decide in every lane.  Service is FIFO and queues start empty,
+    so the oldest waiting task at a location is its next unserved arrival:
+    one cursor per location into that location's arrival slots replaces
+    the age book."""
+    horizon, num_lanes, n = table.shape
+    counts = table.sum(axis=0).reshape(-1)
+    cursor = np.zeros(num_lanes * n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=cursor[1:])
+    cursor = cursor.reshape(num_lanes, n)
+    # arrival slots by lane, then location, then time; one sentinel slot
+    # keeps the cursor of an exhausted last location in bounds
+    stamps = np.zeros(int(counts.sum()) + 1, dtype=np.int32)
+    for k in range(num_lanes):
+        lo = cursor[k, 0]
+        slots = np.nonzero(table[:, k, :].T)[1]
+        stamps[lo:lo + len(slots)] = slots
+    robot_ids = np.arange(num_robots)
+    robot_base = np.arange(num_lanes) * num_robots
+    tiebreak = np.arange(n)
+    # rank key (arrival slot, not hosted, index) packed into one integer
+    width = np.int64(2 * n)
+    empty_key = np.iinfo(np.int64).max
+
+    def decide(lanes: LockstepLanes, local: np.ndarray):
+        queues, robots, pos = lanes.queues, lanes.robots, lanes.pos
+        nonempty = queues > 0
+        waiting = nonempty.sum(axis=1)
+        host = np.full(queues.shape, -1)
+        host.reshape(-1)[pos] = robot_ids
+        key = stamps.take(cursor) * width + (host < 0) * n + tiebreak
+        order = np.argsort(
+            np.where(nonempty, key, empty_key), axis=1, kind="stable"
+        )
+        # walk the ranking: each of the first min(M, waiting) locations
+        # takes its host if still free, else the lowest free robot
+        assigned = np.zeros(robots.size, dtype=bool)
+        end = robots.copy()
+        flat_end = end.reshape(-1)
+        for k in range(num_robots):
+            active = waiting > k
+            if not active.any():
+                break
+            loc = order[:, k]
+            h = host.reshape(-1).take(lanes.base[:, 0] + loc)
+            own = (h >= 0) & ~assigned.take(robot_base + h)
+            spare = robot_base + np.argmin(
+                assigned.reshape(-1, num_robots), axis=1
+            )
+            switch = active & ~own
+            flat_end[spare[switch]] = loc[switch]
+            assigned[np.where(own, robot_base + h, spare)[active]] = True
+        # a switcher never targets its own location, so the robots that
+        # stay put are the hosts kept in place and the unmatched ones
+        serve = (end == robots) & (local > 0)
+        cursor.reshape(-1)[pos[serve]] += 1
+        return serve, end
+
+    return decide
+
+
+def _lockstep_arrivals(
+    group: Sequence[tuple[ExperimentConfig, int]], horizon: int, n: int
+) -> np.ndarray:
+    """(horizon, R, N) bool arrival table; lane k is drawn from its own
+    default_rng(seed) exactly as _pregen_arrivals draws it, in row chunks
+    so no (horizon, N) float block is held per lane."""
+    table = np.empty((horizon, len(group), n), dtype=bool)
+    for k, (config, seed) in enumerate(group):
+        rng = np.random.default_rng(seed)
+        probs = np.asarray(config.model.arrival_probs)
+        for t0 in range(0, horizon, _ARRIVAL_CHUNK_ROWS):
+            t1 = min(t0 + _ARRIVAL_CHUNK_ROWS, horizon)
+            np.less(rng.random((t1 - t0, n)), probs, out=table[t0:t1, k])
+    return table
+
+
+def _lane_group_key(config: ExperimentConfig) -> tuple:
+    """What the lanes of one lockstep group must share; p and the cyclic
+    dwell may differ from lane to lane."""
+    m = config.model
+    return (
+        m.num_locations,
+        m.num_robots,
+        m.discount,
+        config.horizon,
+        config.policy,
+    )
+
+
+def run_lockstep(
+    group: Sequence[tuple[ExperimentConfig, int]],
+) -> list[EpisodeMetrics]:
+    """run_episode(config, seed) for every (config, seed) lane at once.
+
+    The lanes must agree on N, M, discount, horizon and policy.  All lanes
+    advance one slot per step as integer arrays, each decision rule is
+    vectorised across lanes, LockstepLanes.step checks feasibility every
+    slot, and the metrics are accumulated with the same float operations
+    in the same order as _episode_loop, so each lane's EpisodeMetrics
+    equals run_episode's exactly.
+    """
+    if not group:
+        return []
+    first = group[0][0]
+    if any(_lane_group_key(c) != _lane_group_key(first) for c, _ in group):
+        raise ValueError(
+            "lockstep lanes must share N, M, discount, horizon and policy"
+        )
+    n, m = first.model.num_locations, first.model.num_robots
+    horizon, beta = first.horizon, first.model.discount
+    table = _lockstep_arrivals(group, horizon, n)
+    if first.policy == "esl":
+        decide = _esl_lockstep
+    elif first.policy == "fcfs":
+        decide = _fcfs_lockstep(table, m)
+    else:
+        decide = _cyclic_lockstep(group)
+    lanes = LockstepLanes(len(group), n, m)
+    discounted = np.zeros(len(group))
+    weight = 1.0
+    queue_total_sum = np.zeros(len(group), dtype=np.int64)
+    serve_ct = np.zeros((len(group), m), dtype=np.int64)
+    switch_ct = np.zeros((len(group), m), dtype=np.int64)
+    for t in range(horizon):
+        total = lanes.queues.sum(axis=1)
+        discounted += weight * total
+        weight *= beta
+        queue_total_sum += total
+        serve, end = decide(lanes, lanes.local())
+        serve_ct += serve
+        switch_ct += end != lanes.robots
+        lanes.step(serve, end, table[t])
+    robot_slots = m * horizon
+    out = []
+    for cost, queued, served, switched in zip(
+        discounted.tolist(),
+        queue_total_sum.tolist(),
+        serve_ct.sum(axis=1).tolist(),
+        switch_ct.sum(axis=1).tolist(),
+    ):
+        out.append(
+            EpisodeMetrics(
+                discounted_cost=cost,
+                mean_queue_length=queued / (horizon * n),
+                serve_frac=served / robot_slots,
+                switch_frac=switched / robot_slots,
+                idle_frac=(robot_slots - served - switched) / robot_slots,
+            )
+        )
+    return out
+
+
+def run_lanes(
+    group: Sequence[tuple[ExperimentConfig, int]],
+) -> list[EpisodeMetrics]:
+    """Metrics of every (config, seed) lane of one group, in order: through
+    run_lockstep from LOCKSTEP_MIN_LANES lanes up, else run_episode."""
+    if len(group) < LOCKSTEP_MIN_LANES:
+        return [run_episode(config, seed) for config, seed in group]
+    return run_lockstep(group)
+
+
 def _ci_half_width(values: Sequence[float]) -> float:
     # normal 1.96 multiplier; R is large enough that Student-t is moot
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
@@ -313,32 +583,55 @@ def run_grid(
 
     Episode seeds are base_seed + episode index, so configs sharing a
     base_seed (the policies within one cell) see common random numbers.
+    The episodes of all configs that share N, M, discount, horizon and
+    policy form one lane group for run_lanes; with workers > 1 a process
+    pool runs whole groups.
     """
-    results: list[AggregateResult] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for config in grid:
-            seeds = range(config.base_seed, config.base_seed + config.episodes)
-            if pool is None:
-                metrics = [run_episode(config, seed) for seed in seeds]
-            else:
-                configs = [config] * config.episodes
-                metrics = list(
-                    pool.map(run_episode, configs, seeds, chunksize=4)
-                )
-            results.append(
-                aggregate(
-                    metrics,
-                    num_locations=config.model.num_locations,
-                    num_robots=config.model.num_robots,
-                    alpha=config.alpha,
-                    p=config.symmetric_p,
-                    policy=config.policy,
-                )
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(grid):
+        groups.setdefault(_lane_group_key(config), []).append(i)
+    lane_groups = (
+        [
+            (grid[i], seed)
+            for i in cells
+            for seed in range(
+                grid[i].base_seed, grid[i].base_seed + grid[i].episodes
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        ]
+        for cells in groups.values()
+    )
+    if workers <= 1:
+        return _aggregate_groups(grid, groups, map(run_lanes, lane_groups))
+    # imported only when asked for: the pool machinery costs about 2 MB of
+    # memory and 20 ms of start-up that a single-process run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _aggregate_groups(
+            grid, groups, pool.map(run_lanes, lane_groups)
+        )
+
+
+def _aggregate_groups(
+    grid: Sequence[ExperimentConfig],
+    groups: dict[tuple, list[int]],
+    outputs,
+) -> list[AggregateResult]:
+    """Aggregate each lane group's metrics into its cells as the group
+    completes, so only one group's episodes are held at a time."""
+    results: list[AggregateResult] = [None] * len(grid)
+    for cells, metrics in zip(groups.values(), outputs):
+        it = iter(metrics)
+        for i in cells:
+            config = grid[i]
+            results[i] = aggregate(
+                [next(it) for _ in range(config.episodes)],
+                num_locations=config.model.num_locations,
+                num_robots=config.model.num_robots,
+                alpha=config.alpha,
+                p=config.symmetric_p,
+                policy=config.policy,
+            )
     return results
 
 

@@ -38,6 +38,11 @@ class StateSpaceTooLargeError(RuntimeError):
     """Enumeration would exceed the configured state budget."""
 
 
+class ConvergenceError(RuntimeError):
+    """Value iteration used every sweep it was allowed without reaching
+    the tolerance."""
+
+
 @dataclass(frozen=True)
 class TruncatedMdp:
     """Flattened enumeration of the capped problem.
@@ -183,7 +188,11 @@ def value_iteration(
         values = new_values
         if residual < tol:
             return ValueTable(values, sweep, residual, tuple(history))
-    raise RuntimeError("value iteration did not converge within max_sweeps")
+    raise ConvergenceError(
+        f"value iteration did not converge within {max_sweeps} sweeps "
+        f"(last residual {history[-1] if history else float('nan'):.3g}, "
+        f"tol {tol:.3g})"
+    )
 
 
 def q_values(

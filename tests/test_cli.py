@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import eslsim
+from eslsim import cli
 from eslsim.cli import RESULT_COLUMNS, main
 from eslsim.policies import optimize_dwell
 
@@ -128,6 +129,43 @@ def test_bad_config_values_rejected(tmp_path, capsys, overrides, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert "bad.yaml" in err
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"policies": "[esl, fcfs, esl]"}, "policies: duplicate entry 'esl'"),
+        ({"alphas": "[0.5, 0.25, 0.5]"}, "alphas: duplicate entry 0.5"),
+        ({"robots": "[1, 2, 1]"}, "robots: duplicate entry 1"),
+    ],
+)
+def test_duplicate_grid_entries_rejected(tmp_path, capsys, overrides, message):
+    cfg = write(tmp_path / "dup.yaml", config_text(**overrides))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(
+            config_text(horizn="100"), "horizn: unknown key", id="horizn"
+        ),
+        pytest.param(
+            config_text().replace("dwell: 2", "dwel: 2"),
+            "cyclic.dwel: unknown key",
+            id="cyclic.dwel",
+        ),
+    ],
+)
+def test_simulate_unknown_keys_rejected(tmp_path, capsys, text, message):
+    cfg = write(tmp_path / "typo.yaml", text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -308,6 +346,53 @@ def test_verify_that_checks_nothing_is_rejected(
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert f"{cfg}: {needle}" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ([("margin: 2", "marign: 1")], "instances[0].marign: unknown key"),
+        ([("rule: esl", "rule: esl\nbeta: 0.5")], "beta: unknown key"),
+        ([("rule: esl", "rule: esl\ntol: 1.0e-6")], "tol: unknown key"),
+        ([("seeds: 40", "seed: 40")], "coupling.seed: unknown key"),
+        ([("    p: 0.1\n", "")], "instances[0].p: missing required key"),
+        ([("p: 0.1\n", "p: often\n")], "instances[0].p: expected float"),
+        ([("cap: 5", "cap: 1.5")], "instances[0].cap: expected int"),
+        ([("margin: 2", "margin: 5")], "instances[0].margin: "),
+        ([("tol: 1.0e-10", "tol: -1.0")], "instances[0].tol: "),
+        ([("tol: 1.0e-10", "tie_tol: -1.0")], "instances[0].tie_tol: "),
+        (
+            [("locations: 2", "locations: 5"), ("cap: 5", "cap: 2"),
+             ("margin: 2", "margin: 1")],
+            "instances[0]: instance exceeds the joint-action enumeration caps",
+        ),
+    ],
+)
+def test_verify_keys_checked(tmp_path, capsys, edits, message):
+    text = VERIFY_OK
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)  # the first match is the instance's
+    cfg = write(tmp_path / "verify.yaml", text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_nonconvergence_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """Value iteration that runs out of sweeps exits 2 with the instance's
+    tol named, not with a traceback."""
+    real = cli.value_iteration
+    monkeypatch.setattr(
+        cli, "value_iteration", lambda mdp, tol: real(mdp, tol, max_sweeps=3)
+    )
+    cfg = write(tmp_path / "verify.yaml", VERIFY_OK)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: instances[0].tol: value iteration did not converge" in err
     assert not (out / "verify.json").exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from eslsim import (
     EpisodeMetrics,
     ExperimentConfig,
+    InfeasibleActionError,
     InsufficientReplicationsError,
     ModelConfig,
     aggregate,
@@ -22,6 +23,7 @@ from eslsim import (
     trace_episode,
     tuned_dwell,
 )
+from eslsim import evaluator
 from eslsim.evaluator import _pregen_arrivals
 
 
@@ -271,3 +273,149 @@ def test_light_load_idles_more_than_it_switches():
     )
     res = run_grid([cfg])[0]
     assert res.idle > res.switch
+
+
+# Lockstep engine: every lane must reproduce run_episode exactly.
+
+LOCKSTEP_SHAPES = [(3, 1), (4, 2), (5, 2), (6, 3), (3, 3)]
+LOCKSTEP_SEEDS = range(100, 120)
+
+
+def lockstep_cells(policy, n, m, horizon=150):
+    """One lane group: p = 0, p = 1 and the unstable alpha = 0.95, with a
+    different cyclic dwell in each cell."""
+    cells = []
+    for dwell, p in enumerate((0.0, 1.0, 0.95 * m / n), start=1):
+        params = {"t_dwell": dwell} if policy == "cyclic" else {}
+        cells.append(
+            ExperimentConfig(
+                model=ModelConfig.symmetric(n, m, p, 0.97),
+                policy=policy,
+                horizon=horizon,
+                episodes=len(LOCKSTEP_SEEDS),
+                base_seed=LOCKSTEP_SEEDS[0],
+                policy_params=params,
+            )
+        )
+    return cells
+
+
+@pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
+@pytest.mark.parametrize("policy", ["esl", "fcfs", "cyclic"])
+def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
+    # small arrival chunks, so lanes cross several chunk boundaries
+    monkeypatch.setattr(evaluator, "_ARRIVAL_CHUNK_ROWS", 7)
+    lanes = [
+        (cell, seed)
+        for cell in lockstep_cells(policy, n, m)
+        for seed in LOCKSTEP_SEEDS
+    ]
+    assert evaluator.run_lockstep(lanes) == [
+        run_episode(cell, seed) for cell, seed in lanes
+    ]
+
+
+@pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
+@pytest.mark.parametrize("policy", ["esl", "fcfs", "cyclic"])
+def test_run_grid_lockstep_matches_run_episode(monkeypatch, policy, n, m):
+    grid = lockstep_cells(policy, n, m, horizon=90)
+    want = [[run_episode(cell, seed) for seed in LOCKSTEP_SEEDS] for cell in grid]
+    seen = []
+    real_aggregate = evaluator.aggregate
+
+    def capture(metrics, **labels):
+        seen.append(list(metrics))
+        return real_aggregate(metrics, **labels)
+
+    def scalar_path(*args):
+        raise AssertionError("a lane group this large must run in lockstep")
+
+    monkeypatch.setattr(evaluator, "aggregate", capture)
+    monkeypatch.setattr(evaluator, "run_episode", scalar_path)
+    evaluator.run_grid(grid)
+    assert seen == want
+
+
+def test_lane_rule_runs_small_groups_through_run_episode(monkeypatch):
+    cfg = config_for("fcfs", p=0.3, horizon=60)
+    small = [(cfg, seed) for seed in range(evaluator.LOCKSTEP_MIN_LANES - 1)]
+
+    def lockstep(*args):
+        raise AssertionError("a small group must run episode by episode")
+
+    monkeypatch.setattr(evaluator, "run_lockstep", lockstep)
+    assert evaluator.run_lanes(small) == [run_episode(c, s) for c, s in small]
+
+
+def test_lockstep_rejects_mixed_lanes():
+    lanes = [(config_for("esl"), 0), (config_for("esl", m=2), 1)]
+    with pytest.raises(ValueError, match="share"):
+        evaluator.run_lockstep(lanes)
+
+
+def lanes_at(robots, queues):
+    lanes = evaluator.LockstepLanes(len(robots), len(queues[0]), len(robots[0]))
+    lanes.robots = np.array(robots)
+    lanes.pos = lanes.base + lanes.robots
+    lanes.queues[:] = queues
+    return lanes
+
+
+@pytest.mark.parametrize(
+    "serve,end",
+    [
+        # lane 1, robot 0 serves an empty queue
+        ([[True, False], [True, False]], [[0, 1], [0, 1]]),
+        # lane 0: robot 1 switches onto robot 0's location
+        ([[True, False], [False, False]], [[0, 0], [0, 1]]),
+        # lane 1: both robots switch to location 2
+        ([[True, False], [False, False]], [[0, 1], [2, 2]]),
+        # lane 0, robot 0 serves while moving
+        ([[True, False], [False, False]], [[2, 1], [0, 1]]),
+        # lane 1 leaves the map past either end
+        ([[True, False], [False, False]], [[0, 1], [0, 3]]),
+        ([[True, False], [False, False]], [[0, 1], [-1, 1]]),
+    ],
+)
+def test_lockstep_step_rejects_infeasible_lanes(serve, end):
+    lanes = lanes_at([[0, 1], [0, 1]], [[2, 0, 1], [0, 0, 4]])
+    before = (lanes.robots.copy(), lanes.queues.copy())
+    with pytest.raises(InfeasibleActionError):
+        lanes.step(
+            np.array(serve), np.array(end), np.zeros((2, 3), dtype=bool)
+        )
+    assert (lanes.robots == before[0]).all()
+    assert (lanes.queues == before[1]).all()
+
+
+def test_lockstep_checks_every_slot(monkeypatch):
+    """A decision that goes wrong in one lane at one late slot is caught."""
+    real = evaluator._esl_lockstep
+    calls = []
+
+    def faulty(lanes, local):
+        serve, end = real(lanes, local)
+        calls.append(None)
+        if len(calls) == 37:
+            end = end.copy()
+            end[5, 1] = end[5, 0]
+        return serve, end
+
+    monkeypatch.setattr(evaluator, "_esl_lockstep", faulty)
+    cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
+    with pytest.raises(InfeasibleActionError):
+        evaluator.run_lockstep([(cfg, seed) for seed in range(12)])
+    assert len(calls) == 37
+
+
+def test_parallel_lockstep_matches_sequential():
+    grid = make_grid(
+        num_locations=4,
+        robots=(2,),
+        alphas=(0.3, 0.9),
+        policies=("esl", "fcfs", "cyclic"),
+        horizon=70,
+        episodes=evaluator.LOCKSTEP_MIN_LANES,
+        base_seed=3,
+    )
+    assert run_grid(grid, workers=2) == run_grid(grid, workers=1)
