@@ -6,8 +6,9 @@ Subcommands:
   verify   --config PATH --out DIR
   dwell    --p REAL --n INT [--max INT]
 
-Configs are YAML (key-value with nested sections); schemas are documented
-in the README and the shipped files under configs/; unknown keys are
+Configs are YAML (key-value with nested sections).  Every key's type,
+range and default is one row of the tables below (SIMULATE, VERIFY and
+the sections they nest; the README lists them); unknown keys are
 rejected.  The ESLSIM_WORKERS environment variable sets how many worker
 processes simulate runs its lane groups in (default 1).  All emitted
 numbers carry 6 significant digits and output is deterministic: rerunning
@@ -25,6 +26,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import yaml
 
@@ -43,6 +45,9 @@ from .evaluator import (
     run_grid,
 )
 from .mdp import (
+    AUDIT_MAX_LOCATIONS,
+    AUDIT_MAX_ROBOTS,
+    DEFAULT_STATE_BUDGET,
     ConvergenceError,
     StateSpaceTooLargeError,
     build_truncated_mdp,
@@ -75,31 +80,6 @@ RESULT_COLUMNS = (
     "idle_ci",
 )
 
-SIMULATE_KEYS = (
-    "locations",
-    "robots",
-    "alphas",
-    "policies",
-    "horizon",
-    "episodes",
-    "beta",
-    "base_seed",
-    "cyclic",
-)
-CYCLIC_KEYS = ("dwell", "search_max")
-VERIFY_KEYS = ("rule", "instances", "coupling")
-INSTANCE_KEYS = (
-    "locations",
-    "robots",
-    "cap",
-    "p",
-    "beta",
-    "tol",
-    "margin",
-    "tie_tol",
-)
-COUPLING_KEYS = ("scenarios", "seeds", "horizon", "p", "beta")
-
 CHECK_RULES = {
     "esl": esl_decide,
     "switch-shortest": switch_to_shortest_decide,
@@ -108,6 +88,136 @@ CHECK_RULES = {
 
 class ConfigError(Exception):
     """Config problem with a file- and key-anchored message."""
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _at_least(lo: int):
+    return (lambda v: v >= lo), f"an integer >= {lo}"
+
+
+def _one_of(names):
+    return (lambda v: v in names), "one of " + ", ".join(names)
+
+
+ANY = (lambda v: True, "")
+UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "a number strictly in (0, 1)")
+POSITIVE = (lambda v: v > 0.0, "a number > 0")
+NON_NEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
+DWELL_RULE = (
+    lambda v: v in ("tuned", "scan") or (type(v) is int and v >= 1),
+    "tuned, scan or an integer >= 1",
+)
+
+
+class Key(NamedTuple):
+    """One row of a config table.  kind is the type of the value (of each
+    entry, for a list key): int, float (an int is taken as a float), str,
+    object (any type; allowed decides), or a table of Keys for a nested
+    mapping.  allowed is (test, description) of the values it may take.
+    A list key has min_items set and holds distinct entries, at least
+    min_items of them."""
+
+    name: str
+    kind: object
+    default: object = REQUIRED
+    allowed: tuple = ANY
+    min_items: int | None = None
+
+
+CYCLIC = (
+    Key("dwell", object, "tuned", DWELL_RULE),
+    Key("search_max", int, 1000, _at_least(1)),
+)
+SIMULATE = (
+    Key("locations", int, 6, _at_least(1)),
+    Key("robots", int, [2, 3], _at_least(1), min_items=1),
+    Key("alphas", float, [0.2, 0.5, 0.8], UNIT, min_items=1),
+    Key("policies", str, list(POLICY_NAMES), _one_of(POLICY_NAMES),
+        min_items=1),
+    Key("horizon", int, 10000, _at_least(1)),
+    Key("episodes", int, 100,
+        (lambda v: v >= 2, "an integer >= 2 (insufficient replications)")),
+    Key("beta", float, 0.99, OPEN_UNIT),
+    Key("base_seed", int, 20260801, _at_least(0)),
+    Key("cyclic", CYCLIC, {}),
+)
+INSTANCE = (
+    Key("locations", int, REQUIRED, _at_least(1)),
+    Key("robots", int, REQUIRED, _at_least(1)),
+    Key("cap", int, REQUIRED, _at_least(1)),
+    Key("p", float, REQUIRED, UNIT),
+    Key("beta", float, 0.9, OPEN_UNIT),
+    Key("tol", float, 1e-10, POSITIVE),
+    Key("margin", int, 3, _at_least(1)),
+    Key("tie_tol", float, 1e-9, NON_NEGATIVE),
+)
+COUPLING = (
+    Key("scenarios", str, list(SCENARIO_NAMES), _one_of(SCENARIO_NAMES),
+        min_items=0),
+    Key("seeds", int, 200, _at_least(1)),
+    Key("horizon", int, 2000, _at_least(1)),
+    Key("p", float, 0.1, OPEN_UNIT),
+    Key("beta", float, 0.9, OPEN_UNIT),
+)
+VERIFY = (
+    Key("rule", str, "esl", _one_of(CHECK_RULES)),
+    Key("instances", INSTANCE, REQUIRED, min_items=0),
+    Key("coupling", COUPLING, {}),
+)
+
+
+def _read(cfg: dict, table, path: str, where: str = "") -> dict:
+    """cfg checked against table: every key's value, defaults filled in.
+    Each unknown, missing, mistyped, out-of-range or repeated value raises
+    ConfigError naming the file and the key (where prefixes the key, e.g.
+    "instances[0].")."""
+    names = [key.name for key in table]
+    for name in cfg:
+        if name not in names:
+            raise ConfigError(f"{path}: {where}{name}: unknown key")
+    out = {}
+    for key in table:
+        at = where + key.name
+        if key.name not in cfg and key.default is REQUIRED:
+            raise ConfigError(f"{path}: {at}: missing required key")
+        value = cfg.get(key.name, key.default)
+        if key.min_items is None:
+            out[key.name] = _value(value, key, path, at)
+            continue
+        if type(value) is not list or len(value) < key.min_items:
+            kind = "a non-empty list" if key.min_items else "a list"
+            raise ConfigError(f"{path}: {at}: expected {kind}, got {value!r}")
+        items = [
+            _value(v, key, path, f"{at}[{i}]") for i, v in enumerate(value)
+        ]
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigError(f"{path}: {at}: duplicate entry {item!r}")
+        out[key.name] = items
+    return out
+
+
+def _value(value, key: Key, path: str, at: str):
+    """One value, or one list entry, checked against its key's row."""
+    if isinstance(key.kind, tuple):
+        if type(value) is not dict:
+            raise ConfigError(
+                f"{path}: {at}: expected a mapping, got {value!r}"
+            )
+        return _read(value, key.kind, path, at + ".")
+    if key.kind is float and type(value) is int:
+        value = float(value)
+    if key.kind is not object and type(value) is not key.kind:
+        raise ConfigError(
+            f"{path}: {at}: expected {key.kind.__name__}, got {value!r}"
+        )
+    test, want = key.allowed
+    if not test(value):
+        raise ConfigError(f"{path}: {at}: expected {want}, got {value!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -143,49 +253,6 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
-def _need(cfg: dict, path: str, key: str, kind, default=None, where=""):
-    """cfg[key] checked against kind, or default when the key is absent;
-    where prefixes the key in messages (e.g. "instances[0].")."""
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}: {where}{key}: missing required key")
-    value = cfg[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(
-            f"{path}: {where}{key}: expected "
-            f"{getattr(kind, '__name__', kind)}"
-        )
-    return value
-
-
-def _known_keys(cfg: dict, path: str, allowed, where="") -> None:
-    """Reject any key of cfg not in allowed, so a misspelt key fails
-    instead of silently leaving its default in force."""
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{path}: {where}{key}: unknown key")
-
-
-def _distinct(values: list, path: str, key: str) -> None:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{path}: {key}: duplicate entry {value!r}")
-
-
-def _whole(value) -> bool:
-    """An integer of at least 1; bools are not integers here."""
-    return type(value) is int and value >= 1
-
-
-def _open_unit(value) -> bool:
-    """A float strictly inside (0, 1); YAML reads every such number as a
-    float, and no integer or bool lies there."""
-    return type(value) is float and 0.0 < value < 1.0
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -204,80 +271,48 @@ def _workers() -> int:
     return w
 
 
+def read_simulate(cfg: dict, path: str, seed=None, beta=None) -> dict:
+    """The simulate settings of cfg with the --seed / --beta overrides in
+    force, checked by the SIMULATE table and the cross-key rules."""
+    raw = dict(cfg)
+    for key, value in (("base_seed", seed), ("beta", beta)):
+        if value is not None:
+            raw[key] = value
+    sim = _read(raw, SIMULATE, path)
+    n = sim["locations"]
+    for m in sim["robots"]:
+        if m > n:
+            raise ConfigError(
+                f"{path}: robots: bad robot count {m!r} for {n} locations"
+            )
+        for a in sim["alphas"]:
+            if "cyclic" in sim["policies"] and not 0.0 < a * m / n < 1.0:
+                raise ConfigError(
+                    f"{path}: alphas: cyclic needs p = alpha * M / N strictly "
+                    f"in (0, 1); alpha {a!r} with M={m}, N={n} gives "
+                    f"p = {a * m / n!r}"
+                )
+    return sim
+
+
 def cmd_simulate(args) -> int:
     path = args.config
     cfg = _load_yaml(path)
-    _known_keys(cfg, path, SIMULATE_KEYS)
-    locations = _need(cfg, path, "locations", int, 6)
-    robots = _need(cfg, path, "robots", list, [2, 3])
-    alphas = _need(cfg, path, "alphas", list, [0.2, 0.5, 0.8])
-    policies = _need(cfg, path, "policies", list, list(POLICY_NAMES))
-    horizon = _need(cfg, path, "horizon", int, 10000)
-    episodes = _need(cfg, path, "episodes", int, 100)
-    beta = _need(cfg, path, "beta", float, 0.99)
-    base_seed = _need(cfg, path, "base_seed", int, 20260801)
-    cyclic_cfg = cfg.get("cyclic", {})
-    if not isinstance(cyclic_cfg, dict):
-        raise ConfigError(f"{path}: cyclic: expected a mapping")
-    _known_keys(cyclic_cfg, path, CYCLIC_KEYS, "cyclic.")
-    dwell = cyclic_cfg.get("dwell", "tuned")
-    if dwell not in ("tuned", "scan") and not _whole(dwell):
-        raise ConfigError(
-            f"{path}: cyclic.dwell: expected tuned, scan or a whole number "
-            f"of slots >= 1, got {dwell!r}"
-        )
-    search_max = cyclic_cfg.get("search_max", 1000)
-    if not _whole(search_max):
-        raise ConfigError(
-            f"{path}: cyclic.search_max: expected an integer >= 1, "
-            f"got {search_max!r}"
-        )
-
-    if args.seed is not None:
-        base_seed = args.seed
-    if args.beta is not None:
-        beta = args.beta
-
-    if locations < 1:
-        raise ConfigError(f"{path}: locations: must be at least 1")
-    for m in robots:
-        if not isinstance(m, int) or not 1 <= m <= locations:
-            raise ConfigError(f"{path}: robots: bad robot count {m!r}")
-    for a in alphas:
-        if not isinstance(a, (int, float)) or not 0 <= a <= 1:
-            raise ConfigError(f"{path}: alphas: bad load factor {a!r}")
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"{path}: policies: unknown policy {name!r}")
-    for key, values in (
-        ("robots", robots),
-        ("alphas", alphas),
-        ("policies", policies),
-    ):
-        _distinct(values, path, key)
-    if horizon < 1:
-        raise ConfigError(f"{path}: horizon: must be at least 1")
-    if episodes < 2:
-        raise ConfigError(
-            f"{path}: episodes: insufficient replications (need at least 2)"
-        )
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"{path}: beta: must lie strictly in (0, 1)")
-
+    sim = read_simulate(cfg, path, seed=args.seed, beta=args.beta)
     workers = _workers()
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
     grid = make_grid(
-        num_locations=locations,
-        robots=robots,
-        alphas=[float(a) for a in alphas],
-        policies=policies,
-        horizon=horizon,
-        episodes=episodes,
-        discount=beta,
-        base_seed=base_seed,
-        dwell=dwell,
-        search_max=search_max,
+        num_locations=sim["locations"],
+        robots=sim["robots"],
+        alphas=sim["alphas"],
+        policies=sim["policies"],
+        horizon=sim["horizon"],
+        episodes=sim["episodes"],
+        discount=sim["beta"],
+        base_seed=sim["base_seed"],
+        dwell=sim["cyclic"]["dwell"],
+        search_max=sim["cyclic"]["search_max"],
     )
     results = run_grid(grid, workers=workers)
     elapsed = time.monotonic() - t0
@@ -323,7 +358,7 @@ def cmd_simulate(args) -> int:
             }
             for c in grid
         ],
-        "dwell_metadata": _round6(grid_dwell_metadata(grid, search_max)),
+        "dwell_metadata": _round6(grid_dwell_metadata(grid)),
     }
     with open(
         os.path.join(out_dir, "results.json"), "w", encoding="utf-8"
@@ -331,7 +366,7 @@ def cmd_simulate(args) -> int:
         json.dump({"results": rows, "manifest": manifest}, fh, indent=2)
         fh.write("\n")
 
-    _write_figdata(fig_dir, results, policies)
+    _write_figdata(fig_dir, results, sim["policies"])
     return 0
 
 
@@ -396,111 +431,64 @@ def _violation_record(violation) -> dict:
     return rec
 
 
-def _instance(inst, path: str, i: int):
-    """One verify instance, checked before anything is solved: returns
-    (model, cap, tol, margin, tie_tol)."""
-    where = f"instances[{i}]."
-    if not isinstance(inst, dict):
-        raise ConfigError(f"{path}: instances[{i}]: expected a mapping")
-    _known_keys(inst, path, INSTANCE_KEYS, where)
-    locations = _need(inst, path, "locations", int, where=where)
-    robots = _need(inst, path, "robots", int, where=where)
-    cap = _need(inst, path, "cap", int, where=where)
-    p = _need(inst, path, "p", float, where=where)
-    beta = _need(inst, path, "beta", float, 0.9, where)
-    tol = _need(inst, path, "tol", float, 1e-10, where)
-    margin = _need(inst, path, "margin", int, 3, where)
-    tie_tol = _need(inst, path, "tie_tol", float, 1e-9, where)
-    for key, bad, want in (
-        ("cap", cap < 1, "must be at least 1"),
-        ("margin", not 1 <= margin < cap, "must satisfy 1 <= margin < cap"),
-        ("tol", tol <= 0.0, "must be positive"),
-        ("tie_tol", tie_tol < 0.0, "must be non-negative"),
-    ):
-        if bad:
-            raise ConfigError(f"{path}: {where}{key}: {want}")
-    try:
-        model = ModelConfig.symmetric(locations, robots, p, beta)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: instances[{i}]: {exc}")
-    return model, cap, tol, margin, tie_tol
-
-
-def cmd_verify(args) -> int:
-    path = args.config
-    cfg = _load_yaml(path)
-    _known_keys(cfg, path, VERIFY_KEYS)
-    instances = _need(cfg, path, "instances", list)
-    rule_name = cfg.get("rule", "esl")
-    if rule_name not in CHECK_RULES:
-        raise ConfigError(f"{path}: rule: unknown decision rule {rule_name!r}")
-    rule = CHECK_RULES[rule_name]
-    coupling_cfg = cfg.get("coupling", {})
-    if not isinstance(coupling_cfg, dict):
-        raise ConfigError(f"{path}: coupling: expected a mapping")
-    _known_keys(coupling_cfg, path, COUPLING_KEYS, "coupling.")
-    scenario_names = coupling_cfg.get("scenarios", list(SCENARIO_NAMES))
-    coupling_seeds = coupling_cfg.get("seeds", 200)
-    coupling_horizon = coupling_cfg.get("horizon", 2000)
-    coupling_p = coupling_cfg.get("p", 0.1)
-    coupling_beta = coupling_cfg.get("beta", 0.9)
-    for name in scenario_names:
-        if name not in SCENARIO_NAMES:
-            raise ConfigError(
-                f"{path}: coupling.scenarios: unknown scenario {name!r}"
-            )
-    for key, value, valid, want in (
-        ("seeds", coupling_seeds, _whole, "an integer >= 1"),
-        ("horizon", coupling_horizon, _whole, "an integer >= 1"),
-        ("p", coupling_p, _open_unit, "a number strictly in (0, 1)"),
-        ("beta", coupling_beta, _open_unit, "a number strictly in (0, 1)"),
-    ):
-        if not valid(value):
-            raise ConfigError(
-                f"{path}: coupling.{key}: expected {want}, got {value!r}"
-            )
-    if not instances and not scenario_names:
+def read_verify(cfg: dict, path: str) -> tuple[dict, list[ModelConfig]]:
+    """The verify settings of cfg, checked by the VERIFY table and the
+    cross-key rules before anything is solved, with each instance's model.
+    An instance over the state budget raises StateSpaceTooLargeError."""
+    ver = _read(cfg, VERIFY, path)
+    models = []
+    if not ver["instances"] and not ver["coupling"]["scenarios"]:
         raise ConfigError(
             f"{path}: nothing to verify: no instances and no coupling "
             "scenarios"
         )
-    specs = [_instance(inst, path, i) for i, inst in enumerate(instances)]
+    for i, inst in enumerate(ver["instances"]):
+        key = f"{path}: instances[{i}]"
+        n, m, cap = inst["locations"], inst["robots"], inst["cap"]
+        if m > n:
+            raise ConfigError(f"{key}.robots: must be at most locations ({n})")
+        if inst["margin"] >= cap:
+            raise ConfigError(f"{key}.margin: must satisfy 1 <= margin < cap")
+        models.append(ModelConfig.symmetric(n, m, inst["p"], inst["beta"]))
+        if count_states(models[-1], cap) > DEFAULT_STATE_BUDGET:
+            raise StateSpaceTooLargeError(f"{key}: state space too large")
+        if n > AUDIT_MAX_LOCATIONS or m > AUDIT_MAX_ROBOTS:
+            raise ConfigError(
+                f"{key}: instance exceeds the joint-action enumeration caps "
+                f"({AUDIT_MAX_LOCATIONS} locations, {AUDIT_MAX_ROBOTS} robots)"
+            )
+    return ver, models
+
+
+def cmd_verify(args) -> int:
+    path = args.config
+    ver, models = read_verify(_load_yaml(path), path)
+    rule_name = ver["rule"]
+    coupling = ver["coupling"]
 
     ok = True
     instance_reports = []
-    for i, (model, cap, tol, margin, tie_tol) in enumerate(specs):
-        key = f"instances[{i}]"
-        locations, robots = model.num_locations, model.num_robots
-        p, beta = model.arrival_probs[0], model.discount
+    for i, (inst, model) in enumerate(zip(ver["instances"], models)):
+        mdp = build_truncated_mdp(model, inst["cap"])
         try:
-            mdp = build_truncated_mdp(model, cap)
-        except StateSpaceTooLargeError:
-            print(f"{path}: {key}: state space too large", file=sys.stderr)
-            return 3
-        try:
-            table = value_iteration(mdp, tol)
+            table = value_iteration(mdp, inst["tol"])
         except ConvergenceError as exc:
-            raise ConfigError(f"{path}: {key}.tol: {exc}")
-        try:
-            violations = check_esl_optimality(
-                mdp, table, margin, tie_tol=tie_tol, rule=rule
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {key}: {exc}")
+            raise ConfigError(f"{path}: instances[{i}].tol: {exc}")
+        violations = check_esl_optimality(
+            mdp,
+            table,
+            inst["margin"],
+            tie_tol=inst["tie_tol"],
+            rule=CHECK_RULES[rule_name],
+        )
         if violations:
             ok = False
         instance_reports.append(
             {
-                "locations": locations,
-                "robots": robots,
-                "cap": cap,
-                "p": _round6(p),
-                "beta": beta,
-                "tol": tol,
-                "margin": margin,
-                "tie_tol": tie_tol,
+                **inst,
+                "p": _round6(inst["p"]),
                 "rule": rule_name,
-                "states": count_states(model, cap),
+                "states": count_states(model, inst["cap"]),
                 "iterations": table.iterations,
                 "residual": _round6(table.residual),
                 "violation_count": len(violations),
@@ -511,14 +499,16 @@ def cmd_verify(args) -> int:
         )
 
     coupling_reports = []
-    for name in scenario_names:
-        scenario = make_scenario(name, p=coupling_p, discount=coupling_beta)
+    for name in coupling["scenarios"]:
+        scenario = make_scenario(
+            name, p=coupling["p"], discount=coupling["beta"]
+        )
         failures = 0
         uncoupled = 0
         first_problems: list[str] = []
         diffs = []
-        for seed in range(coupling_seeds):
-            report = coupled_run(scenario, coupling_horizon, seed)
+        for seed in range(coupling["seeds"]):
+            report = coupled_run(scenario, coupling["horizon"], seed)
             problems = check_gap_pattern(report)
             if problems:
                 failures += 1
@@ -532,10 +522,7 @@ def cmd_verify(args) -> int:
         coupling_reports.append(
             {
                 "scenario": name,
-                "seeds": coupling_seeds,
-                "horizon": coupling_horizon,
-                "p": coupling_p,
-                "beta": coupling_beta,
+                **{k: coupling[k] for k in ("seeds", "horizon", "p", "beta")},
                 "pattern_failures": failures,
                 "uncoupled_runs": uncoupled,
                 "sample_problems": first_problems,
@@ -650,8 +637,8 @@ def main(argv=None) -> int:
     except InsufficientReplicationsError:
         print("insufficient replications", file=sys.stderr)
         return 2
-    except StateSpaceTooLargeError:
-        print("state space too large", file=sys.stderr)
+    except StateSpaceTooLargeError as exc:
+        print(str(exc), file=sys.stderr)
         return 3
 
 

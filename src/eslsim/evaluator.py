@@ -51,7 +51,8 @@ class ExperimentConfig:
     """One cell of the experiment grid: instance, policy, run lengths.
 
     alpha, when given, is the per-robot load factor; it must be consistent
-    with a symmetric arrival vector p = alpha * M / N.
+    with a symmetric arrival vector p = alpha * M / N.  dwell_record is the
+    dwell tuning record (dwell_metadata) make_grid keeps for a cyclic cell.
     """
 
     model: ModelConfig
@@ -61,6 +62,9 @@ class ExperimentConfig:
     base_seed: int
     alpha: float | None = None
     policy_params: dict = field(default_factory=dict)
+    dwell_record: dict | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -650,8 +654,9 @@ def make_grid(
     """Experiment grid ordered robots, then load, then policy.
 
     Every policy inside a cell gets the same base_seed (common random
-    numbers).  The cyclic dwell is resolved here, once per cell, so episode
-    workers never re-run the tuning.
+    numbers).  The cyclic dwell is tuned here, with one scan per cell whose
+    record the cell keeps, so neither episode workers nor the run manifest
+    tune it again.
     """
     grid: list[ExperimentConfig] = []
     for m in robots:
@@ -661,9 +666,11 @@ def make_grid(
             model = ModelConfig.symmetric(num_locations, m, p, discount)
             for name in policies:
                 params: dict = {}
+                record = None
                 if name == "cyclic":
+                    record = dwell_metadata(p, n_block, search_max)
                     params["t_dwell"] = resolve_dwell(
-                        dwell, p, n_block, search_max
+                        dwell, p, n_block, search_max, meta=record
                     )
                 grid.append(
                     ExperimentConfig(
@@ -674,27 +681,21 @@ def make_grid(
                         base_seed=base_seed,
                         alpha=alpha,
                         policy_params=params,
+                        dwell_record=record,
                     )
                 )
     return grid
 
 
-def grid_dwell_metadata(
-    grid: Sequence[ExperimentConfig], search_max: int = 1000
-) -> list[dict]:
+def grid_dwell_metadata(grid: Sequence[ExperimentConfig]) -> list[dict]:
     """Dwell tuning records (both conventions) for each cyclic cell of a
     grid built by make_grid."""
-    out = []
-    for c in grid:
-        if c.policy == "cyclic":
-            m = c.model.num_robots
-            rec = {"num_robots": m, "alpha": c.alpha}
-            rec.update(
-                dwell_metadata(
-                    c.symmetric_p,
-                    block_size(c.model.num_locations, m),
-                    search_max,
-                )
-            )
-            out.append(rec)
-    return out
+    return [
+        {
+            "num_robots": c.model.num_robots,
+            "alpha": c.alpha,
+            **c.dwell_record,
+        }
+        for c in grid
+        if c.policy == "cyclic"
+    ]

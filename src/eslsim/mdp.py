@@ -32,6 +32,10 @@ from .model import (
 from .policies import esl_decide
 
 DEFAULT_STATE_BUDGET = 5_000_000
+# check_esl_optimality enumerates every joint action at every interior
+# state; past these sizes it refuses unless the caller raises them.
+AUDIT_MAX_LOCATIONS = 4
+AUDIT_MAX_ROBOTS = 3
 
 
 class StateSpaceTooLargeError(RuntimeError):
@@ -233,8 +237,8 @@ def check_esl_optimality(
     margin: int,
     tie_tol: float = 1e-9,
     rule=esl_decide,
-    max_robots: int = 3,
-    max_locations: int = 4,
+    max_robots: int = AUDIT_MAX_ROBOTS,
+    max_locations: int = AUDIT_MAX_LOCATIONS,
 ) -> list[Violation]:
     """Audit the serve-longest rule against the exact Q-values.
 

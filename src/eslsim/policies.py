@@ -352,17 +352,25 @@ def tuned_dwell(p: float, n: int, search_max: int = 1000) -> int:
     return dwell_metadata(p, n, search_max)["floor_t"]
 
 
-def resolve_dwell(rule, p: float, n: int, search_max: int = 1000) -> int:
+def resolve_dwell(
+    rule, p: float, n: int, search_max: int = 1000, meta: dict | None = None
+) -> int:
     """Turn a dwell rule into whole slots: an integer is taken as-is,
-    "tuned" floors the continuous argmin, "scan" scans integer dwells."""
+    "tuned" floors the continuous argmin, "scan" scans integer dwells.
+    meta, when given, is dwell_metadata(p, n, search_max) already made,
+    so the rule is read from it instead of scanning again."""
     if isinstance(rule, int) and not isinstance(rule, bool):
         if rule < 1:
             raise ValueError("fixed dwell must be at least one slot")
         return rule
     if rule == "tuned":
-        return tuned_dwell(p, n, search_max)
+        if meta is None:
+            return tuned_dwell(p, n, search_max)
+        return meta["floor_t"]
     if rule == "scan":
-        return optimize_dwell(p, n, search_max)
+        if meta is None:
+            return optimize_dwell(p, n, search_max)
+        return meta["scan_t"]
     raise ValueError(f"unknown dwell rule: {rule!r}")
 
 

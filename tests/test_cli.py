@@ -3,14 +3,16 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import eslsim
-from eslsim import cli
+from eslsim import cli, policies
 from eslsim.cli import RESULT_COLUMNS, main
 from eslsim.policies import optimize_dwell
 
@@ -121,14 +123,40 @@ def test_missing_config_exits_cleanly(tmp_path, capsys):
         ({"beta": "1.5"}, "beta"),
         ({"robots": "[9]"}, "robots"),
         ({"horizon": "0"}, "horizon"),
+        # cyclic tuning needs p = alpha * M / N strictly inside (0, 1)
+        ({"alphas": "[0.0]"}, "bad.yaml: alphas: "),
+        (
+            {"locations": "2", "robots": "[2]", "alphas": "[1.0]"},
+            "bad.yaml: alphas: ",
+        ),
+        ({"robots": "[true]"}, "bad.yaml: robots[0]: expected int"),
+        ({"alphas": "[true]"}, "bad.yaml: alphas[0]: expected float"),
+        ({"robots": "[]"}, "bad.yaml: robots: expected a non-empty list"),
+        ({"alphas": "[]"}, "bad.yaml: alphas: expected a non-empty list"),
+        ({"policies": "[]"}, "bad.yaml: policies: expected a non-empty list"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, capsys, overrides, needle):
     cfg = write(tmp_path / "bad.yaml", config_text(**overrides))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert needle in err
     assert "bad.yaml" in err
+    assert not out.exists()
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    bad = write(tmp_path / "bad.yaml", config_text(base_seed="-1"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", bad, "--out", str(out)]) == 2
+    assert f"{bad}: base_seed: " in capsys.readouterr().err
+    good = write(tmp_path / "zero.yaml", config_text(base_seed="0"))
+    args = ["simulate", "--config", good, "--out", str(out), "--seed", "-1"]
+    assert main(args) == 2
+    assert f"{good}: base_seed: " in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", good, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -202,6 +230,77 @@ def test_smoke_grid_output_pinned(tmp_path):
     assert manifest["dwell_metadata"] == json.loads(
         (DATA / "smoke_grid_dwell_metadata.json").read_text()
     )
+
+
+def test_simulate_tunes_each_cyclic_cell_once(tmp_path, monkeypatch):
+    scans = []
+    real = policies._dwell_scan
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(policies, "_dwell_scan", counted)
+    out = tmp_path / "out"
+    cfg = str(REPO / "configs" / "smoke_grid.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "results.json").read_text())["manifest"]
+    cyclic = [e for e in manifest["experiments"] if e["policy"] == "cyclic"]
+    assert len(cyclic) == 2
+    assert len(scans) == len(cyclic)
+
+
+def _shipped_configs():
+    """Every config the project ships: configs/, the benchmark workloads
+    (read only) and the YAML examples of the README."""
+    files = sorted((REPO / "configs").glob("*.yaml"))
+    files += sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
+    for path in files:
+        yield pytest.param(path.read_text(), id=str(path.relative_to(REPO)))
+    readme = (REPO / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for i, text in enumerate(blocks):
+        yield pytest.param(text, id=f"README.md-yaml-{i}")
+
+
+@pytest.mark.parametrize("text", _shipped_configs())
+def test_shipped_configs_pass_the_schema(text):
+    cfg = yaml.safe_load(text)
+    if "instances" in cfg:
+        cli.read_verify(cfg, "shipped.yaml")
+    else:
+        cli.read_simulate(cfg, "shipped.yaml")
+
+
+def _schema_defaults(table, prefix=""):
+    """{key as the README names it: default} for every row of a table."""
+    out = {}
+    for key in table:
+        name = prefix + key.name
+        if isinstance(key.kind, tuple):
+            if key.min_items is None:  # a section: only its keys have rows
+                out.update(_schema_defaults(key.kind, name + "."))
+                continue
+            out.update(_schema_defaults(key.kind, name + "[i]."))
+        out[name] = key.default
+    return out
+
+
+def test_readme_tables_match_the_schema():
+    rows = re.findall(
+        r"^\| `([\w.\[\]]+)` \|.*\| (\S[^|]*?) \|$",
+        (REPO / "README.md").read_text(),
+        re.M,
+    )
+    documented = {
+        name: cli.REQUIRED if cell == "required" else yaml.safe_load(cell[1:-1])
+        for name, cell in rows
+    }
+    assert len(documented) == len(rows)
+    schema = _schema_defaults(cli.SIMULATE)
+    schema.update(_schema_defaults(cli.VERIFY))
+    assert documented == schema
 
 
 def test_tuned_simulate_does_not_import_scipy(tmp_path):
@@ -336,6 +435,12 @@ def test_verify_budget_exceeded(tmp_path, capsys):
         ("  beta: 1.0", "coupling.beta: "),
         ("  beta: true", "coupling.beta: "),
         ("  scenarios: []", "nothing to verify"),
+        ("  scenarios: 5", "coupling.scenarios: expected a list"),
+        ("  scenarios: prop1A", "coupling.scenarios: expected a list"),
+        (
+            "  scenarios: [prop1A, prop1A]",
+            "coupling.scenarios: duplicate entry 'prop1A'",
+        ),
     ],
 )
 def test_verify_that_checks_nothing_is_rejected(
@@ -367,6 +472,13 @@ def test_verify_that_checks_nothing_is_rejected(
              ("margin: 2", "margin: 1")],
             "instances[0]: instance exceeds the joint-action enumeration caps",
         ),
+        ([("rule: esl", "rule: [esl]")], "rule: expected str"),
+        ([("robots: 1", "robots: 3")], "instances[0].robots: "),
+        (
+            [("instances:\n", "instances:\n  - {locations: 2, robots: 1, "
+              "cap: 5, p: 0.1, beta: 0.9, tol: 1.0e-10, margin: 2}\n")],
+            "instances: duplicate entry ",
+        ),
     ],
 )
 def test_verify_keys_checked(tmp_path, capsys, edits, message):
@@ -379,6 +491,28 @@ def test_verify_keys_checked(tmp_path, capsys, edits, message):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
+
+
+def test_audit_caps_checked_before_solving(tmp_path, capsys, monkeypatch):
+    """An instance the audit cannot enumerate exits 2 before any instance
+    is built, not after the instances ahead of it are solved."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_truncated_mdp", no_build)
+    text = VERIFY_OK.replace(
+        "coupling:",
+        "  - {locations: 5, robots: 1, cap: 7, p: 0.1, margin: 1}\ncoupling:",
+    )
+    cfg = write(tmp_path / "verify.yaml", text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert (
+        f"{cfg}: instances[1]: instance exceeds the joint-action "
+        "enumeration caps" in capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_verify_nonconvergence_is_a_config_error(tmp_path, capsys, monkeypatch):
