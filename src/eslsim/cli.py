@@ -148,7 +148,7 @@ INSTANCE = (
     Key("locations", int, REQUIRED, _at_least(1)),
     Key("robots", int, REQUIRED, _at_least(1)),
     Key("cap", int, REQUIRED, _at_least(1)),
-    Key("p", float, REQUIRED, UNIT),
+    Key("p", float, REQUIRED, OPEN_UNIT),
     Key("beta", float, 0.9, OPEN_UNIT),
     Key("tol", float, 1e-10, POSITIVE),
     Key("margin", int, 3, _at_least(1)),
@@ -489,6 +489,7 @@ def cmd_verify(args) -> int:
                 "p": _round6(inst["p"]),
                 "rule": rule_name,
                 "states": count_states(model, inst["cap"]),
+                "interior_max_queue": inst["cap"] - inst["margin"],
                 "iterations": table.iterations,
                 "residual": _round6(table.residual),
                 "violation_count": len(violations),

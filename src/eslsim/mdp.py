@@ -2,8 +2,11 @@
 
 Queues are capped at C tasks; an arrival to a full queue is discarded, with
 its probability mass folded into the no-arrival branch, which keeps every
-transition row stochastic.  States, feasible joint actions and the kernel
-are enumerated exhaustively, value iteration runs to a sup-norm tolerance,
+transition row stochastic.  Every state and feasible joint action is kept
+and the kernel is stored explicitly, built with numpy from action templates
+and arrival patterns, with no Python loop per state-action or transition
+(tests/scalar_mdp.py keeps the state-by-state builder as the oracle it
+must match byte for byte).  Value iteration runs to a sup-norm tolerance,
 and the optimality checker compares the serve-longest rule against every
 single-robot deviation through the Q-values.  Conclusions are read only at
 interior states (all queues at least `margin` below the cap) so boundary
@@ -27,7 +30,6 @@ from .model import (
     RobotAction,
     SystemState,
     iter_joint_actions,
-    stage_cost,
 )
 from .policies import esl_decide
 
@@ -95,73 +97,120 @@ def build_truncated_mdp(
 ) -> TruncatedMdp:
     """Enumerate states, feasible joint actions and the transition kernel.
 
+    A state's id is its placement's id (itertools.permutations order)
+    times (cap+1)^N plus its queues read as base-(cap+1) digits, location 0
+    most significant.  A state's feasible joint actions depend only on its
+    placement and on which robot-held queues are nonempty, so
+    iter_joint_actions runs once per such template, whose rows keep the
+    joint, next placement and served locations.  Each state-action gets
+    its post-service state id (with the forced arrivals of p = 1) and a
+    branch code: bit i is set when location i is below the cap with
+    0 < p_i < 1.  The kernel is written one branch code at a time, arrival
+    patterns in itertools.product order ("no arrival" first), each
+    probability multiplied left to right from 1.0.
+
     Raises StateSpaceTooLargeError before allocating anything when the
-    count of placements times queue vectors exceeds the budget.
+    count of placements times queue vectors exceeds the budget, and
+    RuntimeError if a next-state id falls outside the state space.
     """
     if cap < 1:
         raise ValueError("queue cap must be at least 1")
     if count_states(config, cap) > state_budget:
         raise StateSpaceTooLargeError("state space too large")
-    n = config.num_locations
+    n, m = config.num_locations, config.num_robots
     probs = config.arrival_probs
-    states: list[SystemState] = []
-    for placement in itertools.permutations(range(n), config.num_robots):
-        for queues in itertools.product(range(cap + 1), repeat=n):
-            states.append(SystemState(placement, queues))
-    index = {state: i for i, state in enumerate(states)}
+    placements = list(itertools.permutations(range(n), m))
+    queue_vectors = list(itertools.product(range(cap + 1), repeat=n))
+    states = tuple(
+        SystemState(placement, queues)
+        for placement in placements
+        for queues in queue_vectors
+    )
+    width = len(queue_vectors)
+    weight = (cap + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    queue_mat = np.array(queue_vectors, dtype=np.int64)
 
-    actions: list[JointAction] = []
-    sa_offsets = [0]
-    sa_cost: list[float] = []
-    tr_offsets = [0]
-    tr_next: list[int] = []
-    tr_prob: list[float] = []
-    for state in states:
-        robots, queues = state
-        cost = float(stage_cost(state))
-        for joint in iter_joint_actions(state):
-            base = list(queues)
-            movers = list(robots)
-            for r, act in enumerate(joint):
-                if act.kind == SWITCH:
-                    movers[r] = act.dest
-                elif act.kind == SERVE:
-                    base[robots[r]] -= 1
-            next_robots = tuple(movers)
-            # per-location arrival branches; full queues drop the arrival
-            options = []
-            for i in range(n):
-                p = probs[i]
-                if base[i] >= cap or p == 0.0:
-                    options.append(((0, 1.0),))
-                elif p == 1.0:
-                    options.append(((1, 1.0),))
-                else:
-                    options.append(((0, 1.0 - p), (1, p)))
-            for combo in itertools.product(*options):
-                prob = 1.0
-                for _, q in combo:
-                    prob *= q
-                next_queues = tuple(
-                    base[i] + combo[i][0] for i in range(n)
-                )
-                tr_next.append(index[SystemState(next_robots, next_queues)])
-                tr_prob.append(prob)
-            tr_offsets.append(len(tr_next))
-            actions.append(joint)
-            sa_cost.append(cost)
-        sa_offsets.append(len(actions))
+    # template t = placement id * 2^M + mask of robots on nonempty queues
+    place_id = {placement: i for i, placement in enumerate(placements)}
+    joints, row_start, row_place, row_served = [], [], [], []
+    for placement in placements:
+        for mask in range(1 << m):
+            probe = [0] * n
+            for r, loc in enumerate(placement):
+                probe[loc] = mask >> r & 1
+            template = list(
+                iter_joint_actions(SystemState(placement, tuple(probe)))
+            )
+            joints.append(template)
+            row_start.append(len(row_place))
+            for joint in template:
+                served = [0] * n
+                movers = list(placement)
+                for r, act in enumerate(joint):
+                    if act.kind == SWITCH:
+                        movers[r] = act.dest
+                    elif act.kind == SERVE:
+                        served[placement[r]] = 1
+                row_place.append(place_id[tuple(movers)])
+                row_served.append(served)
+    bits = 1 << np.arange(m, dtype=np.int64)
+    state_template = np.concatenate([
+        (queue_mat[:, list(placement)] > 0) @ bits + (i << m)
+        for i, placement in enumerate(placements)
+    ])
+
+    # per state-action: template row, post-service state id, branch code
+    counts = np.array([len(t) for t in joints], dtype=np.int64)[state_template]
+    sa_offsets = np.concatenate(([0], np.cumsum(counts)))
+    sa_state = np.repeat(np.arange(len(states)), counts)
+    sa_row = np.arange(sa_offsets[-1]) + np.repeat(
+        np.array(row_start)[state_template] - sa_offsets[:-1], counts
+    )
+    sa_queues = sa_state % width
+    base = queue_mat[sa_queues] - np.array(row_served).reshape(-1, n)[sa_row]
+    base_id = np.array(row_place)[sa_row] * width + base @ weight
+    code = np.zeros(len(sa_row), dtype=np.int64)
+    for i, p in enumerate(probs):
+        below_cap = base[:, i] < cap
+        if p == 1.0:
+            base_id += weight[i] * below_cap
+        elif p > 0.0:
+            code |= below_cap.astype(np.int64) << i
+    del base, sa_row, sa_state
+
+    fan_out = np.array([1 << c.bit_count() for c in range(1 << n)])
+    tr_offsets = np.concatenate(([0], np.cumsum(fan_out[code])))
+    tr_next = np.empty(tr_offsets[-1], dtype=np.int64)
+    tr_prob = np.empty(tr_offsets[-1], dtype=np.float64)
+    for c in np.unique(code).tolist():
+        branching = [i for i in range(n) if c >> i & 1]
+        offsets, pattern_probs = [], []
+        for pattern in itertools.product((0, 1), repeat=len(branching)):
+            prob, offset = 1.0, 0
+            for i, arrival in zip(branching, pattern):
+                prob *= probs[i] if arrival else 1.0 - probs[i]
+                offset += weight[i] * arrival
+            pattern_probs.append(prob)
+            offsets.append(offset)
+        ks = np.flatnonzero(code == c)
+        slots = tr_offsets[ks][:, None] + np.arange(len(offsets))
+        tr_next[slots] = base_id[ks][:, None] + np.array(offsets)
+        tr_prob[slots] = pattern_probs
+    if not 0 <= tr_next.min() <= tr_next.max() < len(states):
+        raise RuntimeError("kernel points outside the state space")
     return TruncatedMdp(
         config=config,
         cap=cap,
-        states=tuple(states),
-        index=index,
-        actions=tuple(actions),
-        sa_offsets=np.asarray(sa_offsets, dtype=np.int64),
-        sa_cost=np.asarray(sa_cost, dtype=np.float64),
-        tr_offsets=np.asarray(tr_offsets, dtype=np.int64),
-        tr_next=np.asarray(tr_next, dtype=np.int64),
-        tr_prob=np.asarray(tr_prob, dtype=np.float64),
+        states=states,
+        index={state: i for i, state in enumerate(states)},
+        actions=tuple(itertools.chain.from_iterable(
+            joints[t] for t in state_template.tolist()
+        )),
+        sa_offsets=sa_offsets,
+        sa_cost=queue_mat.sum(axis=1)[sa_queues].astype(np.float64),
+        tr_offsets=tr_offsets,
+        tr_next=tr_next,
+        tr_prob=tr_prob,
     )
 
 

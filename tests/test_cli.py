@@ -392,6 +392,7 @@ def test_verify_passes_on_serve_longest(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["ok"] is True
     assert payload["instances"][0]["violation_count"] == 0
+    assert payload["instances"][0]["interior_max_queue"] == 3  # cap - margin
     assert all(c["pattern_failures"] == 0 for c in payload["coupling"])
 
 
@@ -478,6 +479,14 @@ def test_verify_that_checks_nothing_is_rejected(
             [("instances:\n", "instances:\n  - {locations: 2, robots: 1, "
               "cap: 5, p: 0.1, beta: 0.9, tol: 1.0e-10, margin: 2}\n")],
             "instances: duplicate entry ",
+        ),
+        (
+            [("p: 0.1\n", "p: 0.0\n")],
+            "instances[0].p: expected a number strictly in (0, 1), got 0.0",
+        ),
+        (
+            [("p: 0.1\n", "p: 1\n")],
+            "instances[0].p: expected a number strictly in (0, 1), got 1.0",
         ),
     ],
 )

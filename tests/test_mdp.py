@@ -2,9 +2,13 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scalar_mdp import build_truncated_mdp_scalar
 
 from eslsim import (
     IDLE_ACTION,
@@ -15,6 +19,7 @@ from eslsim import (
     build_truncated_mdp,
     check_esl_optimality,
     count_states,
+    esl_decide,
     is_interior,
     monotonicity_violations,
     q_values,
@@ -202,6 +207,31 @@ def test_checker_flags_switch_to_shortest():
     assert all(v.gap > 1e-9 for v in violations)
 
 
+@pytest.mark.parametrize("cap,margin", [(7, 4), (8, 5)])
+def test_checker_flags_serve_longest_past_queue_one(cap, margin):
+    """Serve-longest is not optimal on (3, 2) once the audited interior
+    reaches queues of 3: at robots (0, 1), queues (1, 1, 3), moving one
+    robot to the 3-task queue beats serving by the same gap at either cap,
+    so the finding is not a truncation artifact."""
+    model = ModelConfig.symmetric(3, 2, 0.2, 0.9)
+    mdp = build_truncated_mdp(model, cap=cap)
+    table = value_iteration(mdp, tol=1e-10)
+    violations = check_esl_optimality(mdp, table, margin=margin)
+    assert Counter(v.kind for v in violations) == {
+        "not-argmin": 6,
+        "serve-not-strict": 12,
+    }
+    state = SystemState((0, 1), (1, 1, 3))
+    gaps = [v.gap for v in violations if v.state == state]
+    assert len(gaps) == 3
+    assert all(gap == pytest.approx(0.165062, abs=1e-4) for gap in gaps)
+    q = q_values(mdp, table, state)
+    assert esl_decide(state) == (SERVE_ACTION, SERVE_ACTION)
+    assert q[(SERVE_ACTION, SERVE_ACTION)] - min(q.values()) == pytest.approx(
+        0.165062, abs=1e-4
+    )
+
+
 def test_margin_bounds_checked():
     model = ModelConfig.symmetric(2, 1, 0.1, 0.9)
     mdp = build_truncated_mdp(model, cap=3)
@@ -267,3 +297,61 @@ def test_state_actions_slices_align():
     assert (SERVE_ACTION,) in acts
     assert (IDLE_ACTION,) in acts
     assert (switch_to(1),) in acts
+
+
+KERNEL_ARRAYS = ("sa_offsets", "sa_cost", "tr_offsets", "tr_next", "tr_prob")
+
+
+def assert_same_as_scalar(model, cap):
+    fast = build_truncated_mdp(model, cap)
+    slow = build_truncated_mdp_scalar(model, cap)
+    assert fast.states == slow.states
+    assert fast.index == slow.index
+    assert fast.actions == slow.actions
+    for name in KERNEL_ARRAYS:
+        got, want = getattr(fast, name), getattr(slow, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "n,m,cap,probs",
+    [
+        (1, 1, 5, (0.1,)),
+        (2, 1, 6, (0.1, 0.35)),
+        (2, 2, 4, (0.1, 0.35)),
+        (3, 1, 4, (0.1, 0.35, 0.6)),
+        (3, 2, 4, (0.1, 0.35, 0.6)),
+        (3, 3, 3, (0.1, 0.35, 0.6)),
+        (4, 2, 3, (0.1, 0.35, 0.6, 0.85)),
+        (4, 3, 3, (0.1, 0.35, 0.6, 0.85)),
+        # rates of 0 (never branches) and 1 (forced arrival below the cap)
+        (3, 2, 3, (0.3, 0.0, 1.0)),
+        (3, 1, 4, (1.0, 0.25, 0.0)),
+        (4, 2, 2, (0.0, 1.0, 0.7, 1.0)),
+        (2, 2, 3, (0.0, 0.0)),
+        (2, 1, 3, (1.0, 1.0)),
+        (1, 1, 2, (1.0,)),
+    ],
+)
+def test_template_build_matches_scalar_oracle(n, m, cap, probs):
+    assert_same_as_scalar(ModelConfig(n, m, probs, 0.9), cap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m_draw=st.integers(1, 4),
+    cap=st.integers(1, 4),
+    probs=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_template_build_matches_scalar_oracle_fuzzed(n, m_draw, cap, probs):
+    model = ModelConfig(n, min(m_draw, n), tuple(probs[:n]), 0.9)
+    # keeps the scalar oracle's per-transition loop to well under a second
+    assume(count_states(model, cap) <= 1000)
+    assert_same_as_scalar(model, cap)
