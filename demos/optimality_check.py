@@ -29,9 +29,16 @@ for action, value in sorted(q.items(), key=lambda kv: kv[1]):
 print("cheapest action is the switch toward the backlog, as expected")
 
 # Audit every state far enough from the cap that truncation cannot bias
-# the comparison.  Zero violations certifies the serve-longest structure.
-violations = check_esl_optimality(mdp, table, margin=3, tie_tol=1e-9)
-print(f"\nserve-longest audit: {len(violations)} violations")
+# the comparison: the interior, queues <= cap - margin.  Zero violations
+# certifies serve-longest on this instance's interior only, not in
+# general: at 3 locations, 2 robots and p = 0.2 it is beaten at queues
+# (1, 1, 3) (tests/test_mdp.py::test_checker_flags_serve_longest_past_queue_one).
+margin = 3
+violations = check_esl_optimality(mdp, table, margin=margin, tie_tol=1e-9)
+print(f"\nserve-longest audit on queues <= {mdp.cap - margin}: "
+      f"{len(violations)} violations")
+print("  this instance's interior only: at 3 locations, 2 robots and\n"
+      "  p = 0.2, serve-longest is beaten at queues (1, 1, 3)")
 
 # Same machinery, wrong rule: chase the SHORTEST nonempty queue instead.
 # The audit flags every interior state where that choice is strictly

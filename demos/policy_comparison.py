@@ -31,7 +31,9 @@ for m in (2, 3):
 print("""
 Serve-longest wins every cell on both cost and backlog.  At load 0.8 the
 two rivals are unstable (queues grow without bound over the horizon) and
-their ranking flips between the 2-robot and 3-robot systems: cadence
-beats age-chasing when robots cover 3 locations each, and loses when
-they cover 2.
+their ranking flips between the 2-robot and 3-robot systems.  The flip
+rests on the cyclic dwell rule used here, the floored continuous argmin
+of the patrol objective: on the full benchmark grid, cyclic run at the
+dwell that minimises its exact cost beats fcfs at 3 robots and load 0.8
+too, so the ranking there is not cadence against age-chasing as such.
 """)

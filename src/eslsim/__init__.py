@@ -17,7 +17,6 @@ from .model import (
     ModelConfig,
     RobotAction,
     SlotDelta,
-    SlotLedger,
     SystemState,
     admissible_robot_actions,
     initial_state,
@@ -37,7 +36,6 @@ from .policies import (
     DegenerateRateError,
     EslPolicy,
     FcfsPolicy,
-    TaskAgeBook,
     continuous_dwell,
     cyclic_decide,
     dwell_metadata,
@@ -54,7 +52,6 @@ from .evaluator import (
     PRNG_ID,
     AggregateResult,
     EpisodeMetrics,
-    EpisodeTrace,
     ExperimentConfig,
     InsufficientReplicationsError,
     aggregate,
@@ -63,7 +60,6 @@ from .evaluator import (
     run_episode,
     run_grid,
     run_lockstep,
-    trace_episode,
 )
 from .mdp import (
     ConvergenceError,

@@ -104,8 +104,8 @@ def _one_of(names):
 ANY = (lambda v: True, "")
 UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "a number strictly in (0, 1)")
-POSITIVE = (lambda v: v > 0.0, "a number > 0")
-NON_NEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite number > 0")
+NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 DWELL_RULE = (
     lambda v: v in ("tuned", "scan") or (type(v) is int and v >= 1),
     "tuned, scan or an integer >= 1",

@@ -8,7 +8,8 @@ numbers) no matter how their decisions differ.
 
 run_episode is the reference slot loop.  run_grid runs large groups of
 episodes through run_lockstep, which advances many episodes together as
-integer arrays and reproduces run_episode's metrics exactly.
+integer arrays and reproduces run_episode's metrics exactly.  Both engines
+draw arrivals with _draw_arrivals and build their metrics with _metrics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +26,6 @@ from .model import (
     SWITCH,
     InfeasibleActionError,
     ModelConfig,
-    SlotDelta,
-    SlotLedger,
-    SystemState,
     initial_state,
     step,
 )
@@ -146,31 +144,55 @@ class AggregateResult:
     idle_ci: float
 
 
-@dataclass
-class EpisodeTrace:
-    """run_episode plus the per-slot series needed for audits: queue totals,
-    joint actions, raw arrival/departure vectors and the cumulative ledger."""
+# Arrival-table rows drawn per generator call; PCG64 yields the same stream
+# whether the rows come at once or in chunks.
+_ARRIVAL_CHUNK_ROWS = 1024
 
-    metrics: EpisodeMetrics
-    queue_totals: list[int]
-    actions: list[tuple]
-    arrivals: list[tuple[int, ...]]
-    departures: list[tuple[int, ...]]
-    ledger: SlotLedger
-    final_state: SystemState
+
+def _draw_arrivals(model: ModelConfig, seed: int, out: np.ndarray) -> None:
+    """Fill out, a (horizon, N) bool array or view, with the episode's
+    arrival indicators: one default_rng(seed) uniform per (slot, location)
+    in row-major order, drawn in row chunks so no (horizon, N) float block
+    is held."""
+    rng = np.random.default_rng(seed)
+    probs = np.asarray(model.arrival_probs)
+    for t0 in range(0, len(out), _ARRIVAL_CHUNK_ROWS):
+        chunk = out[t0:t0 + _ARRIVAL_CHUNK_ROWS]
+        np.less(rng.random(chunk.shape), probs, out=chunk)
 
 
 def _pregen_arrivals(
     model: ModelConfig, horizon: int, seed: int
 ) -> list[list[int]]:
-    """Draw the whole episode's arrival indicators at once.
+    """Draw the whole episode's arrival indicators at once, as 0/1 rows.
 
-    One uniform per (slot, location) in row-major order, which matches what
-    per-slot sample_arrivals calls on the same generator would consume.
+    The uniforms come in the order per-slot sample_arrivals calls on the
+    same generator would consume them.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random((horizon, model.num_locations))
-    return (u < np.asarray(model.arrival_probs)).astype(np.int8).tolist()
+    table = np.empty((horizon, model.num_locations), dtype=bool)
+    _draw_arrivals(model, seed, table)
+    return table.view(np.int8).tolist()
+
+
+def _metrics(
+    config: ExperimentConfig,
+    discounted: float,
+    queued: int,
+    served: int,
+    switched: int,
+) -> EpisodeMetrics:
+    """EpisodeMetrics of one episode from its discounted cost and its
+    sums over slots of the queue total, serving robots and switching
+    robots."""
+    horizon = config.horizon
+    robot_slots = config.model.num_robots * horizon
+    return EpisodeMetrics(
+        discounted_cost=discounted,
+        mean_queue_length=queued / (horizon * config.model.num_locations),
+        serve_frac=served / robot_slots,
+        switch_frac=switched / robot_slots,
+        idle_frac=(robot_slots - served - switched) / robot_slots,
+    )
 
 
 def run_episode(
@@ -183,47 +205,6 @@ def run_episode(
     Cost is read at the start of each slot, before service and arrivals.
     Passing an explicit arrivals table (horizon x N indicators) bypasses the
     seeded draw; tests use that to splice extra arrivals into a path.
-    """
-    return _episode_loop(config, seed, arrivals, None)[0]
-
-
-def trace_episode(
-    config: ExperimentConfig,
-    seed: int,
-    arrivals: Sequence[Sequence[int]] | None = None,
-) -> EpisodeTrace:
-    """run_episode with full per-slot bookkeeping.
-
-    Runs the same slot loop as run_episode, with a recorder that keeps each
-    slot's queue total, joint action and arrival/departure vectors.
-    """
-    slots: list[tuple[int, tuple, SlotDelta]] = []
-    metrics, state = _episode_loop(config, seed, arrivals, slots.append)
-    ledger = SlotLedger.empty(config.model.num_locations)
-    for _, _, delta in slots:
-        ledger.record(delta)
-    return EpisodeTrace(
-        metrics,
-        [total for total, _, _ in slots],
-        [joint for _, joint, _ in slots],
-        [delta.arrivals for _, _, delta in slots],
-        [delta.departures for _, _, delta in slots],
-        ledger,
-        state,
-    )
-
-
-def _episode_loop(
-    config: ExperimentConfig,
-    seed: int,
-    arrivals: Sequence[Sequence[int]] | None,
-    record: Callable[[tuple[int, tuple, SlotDelta]], None] | None,
-) -> tuple[EpisodeMetrics, SystemState]:
-    """The slot loop behind run_episode and trace_episode.
-
-    Returns the metrics and the final state.  record, when given, is called
-    once per slot with the tuple (queue total at the start of the slot,
-    joint action, slot delta).
     """
     model = config.model
     horizon = config.horizon
@@ -250,34 +231,19 @@ def _episode_loop(
         joint = decide(state, t)
         state, delta = step(state, joint, arrivals[t])
         observe(delta, t)
-        if record is not None:
-            record((total, joint, delta))
         for act in joint:
             kind = act.kind
             if kind == SERVE:
                 serve_ct += 1
             elif kind == SWITCH:
                 switch_ct += 1
-    robot_slots = model.num_robots * horizon
-    idle_ct = robot_slots - serve_ct - switch_ct
-    metrics = EpisodeMetrics(
-        discounted_cost=discounted,
-        mean_queue_length=queue_total_sum / (horizon * model.num_locations),
-        serve_frac=serve_ct / robot_slots,
-        switch_frac=switch_ct / robot_slots,
-        idle_frac=idle_ct / robot_slots,
-    )
-    return metrics, state
+    return _metrics(config, discounted, queue_total_sum, serve_ct, switch_ct)
 
 
 # A group of episodes with fewer lanes than this runs episode by episode
 # through run_episode: below it the lockstep engine's fixed numpy cost per
 # slot outweighs the lanes it shares that cost across.
 LOCKSTEP_MIN_LANES = 10
-
-# Arrival-table rows drawn per generator call; PCG64 yields the same stream
-# whether the rows come at once or in chunks.
-_ARRIVAL_CHUNK_ROWS = 1024
 
 
 class LockstepLanes:
@@ -376,8 +342,8 @@ def _cyclic_lockstep(group: Sequence[tuple[ExperimentConfig, int]]):
 def _fcfs_lockstep(table: np.ndarray, num_robots: int):
     """fcfs_decide in every lane.  Service is FIFO and queues start empty,
     so the oldest waiting task at a location is its next unserved arrival:
-    one cursor per location into that location's arrival slots replaces
-    the age book."""
+    one cursor per location into that location's arrival slots stands in
+    for FcfsPolicy's per-location deques of waiting tasks."""
     horizon, num_lanes, n = table.shape
     counts = table.sum(axis=0).reshape(-1)
     cursor = np.zeros(num_lanes * n, dtype=np.int64)
@@ -437,16 +403,11 @@ def _fcfs_lockstep(table: np.ndarray, num_robots: int):
 def _lockstep_arrivals(
     group: Sequence[tuple[ExperimentConfig, int]], horizon: int, n: int
 ) -> np.ndarray:
-    """(horizon, R, N) bool arrival table; lane k is drawn from its own
-    default_rng(seed) exactly as _pregen_arrivals draws it, in row chunks
-    so no (horizon, N) float block is held per lane."""
+    """(horizon, R, N) bool arrival table; lane k is drawn by _draw_arrivals
+    from its own seed, exactly as run_episode draws it."""
     table = np.empty((horizon, len(group), n), dtype=bool)
     for k, (config, seed) in enumerate(group):
-        rng = np.random.default_rng(seed)
-        probs = np.asarray(config.model.arrival_probs)
-        for t0 in range(0, horizon, _ARRIVAL_CHUNK_ROWS):
-            t1 = min(t0 + _ARRIVAL_CHUNK_ROWS, horizon)
-            np.less(rng.random((t1 - t0, n)), probs, out=table[t0:t1, k])
+        _draw_arrivals(config.model, seed, table[:, k])
     return table
 
 
@@ -472,8 +433,8 @@ def run_lockstep(
     advance one slot per step as integer arrays, each decision rule is
     vectorised across lanes, LockstepLanes.step checks feasibility every
     slot, and the metrics are accumulated with the same float operations
-    in the same order as _episode_loop, so each lane's EpisodeMetrics
-    equals run_episode's exactly.
+    in the same order as run_episode's slot loop and built by the same
+    _metrics, so each lane's EpisodeMetrics equals run_episode's exactly.
     """
     if not group:
         return []
@@ -506,24 +467,16 @@ def run_lockstep(
         serve_ct += serve
         switch_ct += end != lanes.robots
         lanes.step(serve, end, table[t])
-    robot_slots = m * horizon
-    out = []
-    for cost, queued, served, switched in zip(
-        discounted.tolist(),
-        queue_total_sum.tolist(),
-        serve_ct.sum(axis=1).tolist(),
-        switch_ct.sum(axis=1).tolist(),
-    ):
-        out.append(
-            EpisodeMetrics(
-                discounted_cost=cost,
-                mean_queue_length=queued / (horizon * n),
-                serve_frac=served / robot_slots,
-                switch_frac=switched / robot_slots,
-                idle_frac=(robot_slots - served - switched) / robot_slots,
-            )
+    return [
+        _metrics(config, cost, queued, served, switched)
+        for (config, _), cost, queued, served, switched in zip(
+            group,
+            discounted.tolist(),
+            queue_total_sum.tolist(),
+            serve_ct.sum(axis=1).tolist(),
+            switch_ct.sum(axis=1).tolist(),
         )
-    return out
+    ]
 
 
 def run_lanes(
@@ -537,7 +490,8 @@ def run_lanes(
 
 
 def _ci_half_width(values: Sequence[float]) -> float:
-    # normal 1.96 multiplier; R is large enough that Student-t is moot
+    # normal 1.96 multiplier, not Student-t, so the interval is short of 95%
+    # at small R: measured coverage is about 70% at R = 2, 91% at R = 10.
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
 
 

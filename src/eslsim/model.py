@@ -230,34 +230,6 @@ def stage_cost(state: SystemState) -> int:
     return sum(state.queues)
 
 
-@dataclass
-class SlotLedger:
-    """Running per-location counts of arrivals and departures.
-
-    Both cumulative series are non-decreasing by construction; the ledger is
-    the bookkeeping needed to audit conservation (queue growth equals
-    arrivals minus departures) on a sample path.
-    """
-
-    arrivals_total: list[int]
-    departures_total: list[int]
-    slots: int = 0
-
-    @classmethod
-    def empty(cls, num_locations: int) -> "SlotLedger":
-        return cls([0] * num_locations, [0] * num_locations)
-
-    def record(self, delta: SlotDelta) -> None:
-        for i, a in enumerate(delta.arrivals):
-            self.arrivals_total[i] += a
-        for i, d in enumerate(delta.departures):
-            self.departures_total[i] += d
-        self.slots += 1
-
-    def totals(self) -> tuple[int, int]:
-        return sum(self.arrivals_total), sum(self.departures_total)
-
-
 def iter_joint_actions(state: SystemState) -> Iterator[JointAction]:
     """All feasible joint actions, in deterministic per-robot menu order."""
     import itertools

@@ -2,9 +2,10 @@
 fixed-dwell cyclic patrol, plus dwell tuning for the cyclic family.
 
 All deciders return feasible joint actions for the state they are given;
-they never emit colliding moves.  Stateful policies (task ages, patrol
-cursors) carry their bookkeeping in explicit objects so episodes stay
-replayable.
+they never emit colliding moves.  The decide functions are pure: fcfs_decide
+reads the waiting tasks' arrival slots and cyclic_decide a patrol plan from
+their arguments.  FcfsPolicy and CyclicPolicy hold that bookkeeping for one
+episode, and reset starts it afresh.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 from .model import (
     IDLE_ACTION,
@@ -79,48 +81,15 @@ esl_decide = partial(serve_then_seek, longest_first=True)
 switch_to_shortest_decide = partial(serve_then_seek, longest_first=False)
 
 
-class TaskAgeBook:
-    """Arrival slots of the tasks still waiting, oldest first per location.
-
-    The book mirrors the queue vector exactly: len(stamps[i]) must equal
-    queues[i] at all times.  Departures pop the head (FIFO service), fresh
-    arrivals append the current slot index.
-    """
-
-    __slots__ = ("stamps",)
-
-    def __init__(self, stamps: list[deque[int]]) -> None:
-        self.stamps = stamps
-
-    @classmethod
-    def empty(cls, num_locations: int) -> "TaskAgeBook":
-        return cls([deque() for _ in range(num_locations)])
-
-    @classmethod
-    def from_state(cls, state: SystemState, stamp: int = 0) -> "TaskAgeBook":
-        """Book for a mid-flight start: tasks already waiting share a stamp."""
-        return cls([deque([stamp] * q) for q in state.queues])
-
-    def record(self, delta: SlotDelta, slot: int) -> None:
-        stamps = self.stamps
-        for i, d in enumerate(delta.departures):
-            if d:
-                stamps[i].popleft()
-        for i, a in enumerate(delta.arrivals):
-            if a:
-                stamps[i].append(slot)
-
-    def check(self, state: SystemState) -> None:
-        for i, q in enumerate(state.queues):
-            if len(self.stamps[i]) != q:
-                raise AgeBookDesyncError("age book desync")
-
-
-def fcfs_decide(state: SystemState, book: TaskAgeBook) -> JointAction:
+def fcfs_decide(
+    state: SystemState, waiting: Sequence[deque[int]]
+) -> JointAction:
     """Chase the globally oldest waiting tasks, first come first served.
 
+    waiting[i] holds the arrival slots of the tasks waiting at location i,
+    oldest first; its length must equal queues[i], else AgeBookDesyncError.
     Nonempty locations are ranked by the arrival slot of their oldest task
-    (earlier stamp first); ties prefer a location already hosting a robot,
+    (earlier first); ties prefer a location already hosting a robot,
     then the lower location index.  Walking the ranking, a location whose
     host is still unmatched keeps it (the host serves in place); otherwise
     the lowest-indexed unmatched robot switches there.  That move is always
@@ -129,13 +98,15 @@ def fcfs_decide(state: SystemState, book: TaskAgeBook) -> JointAction:
     leaving.  Robots left unmatched serve their own queue if it is nonempty
     and idle otherwise.
     """
-    book.check(state)
     robots, queues = state
+    for i, q in enumerate(queues):
+        if len(waiting[i]) != q:
+            raise AgeBookDesyncError("age book desync")
     num_robots = len(robots)
     host = {loc: r for r, loc in enumerate(robots)}
     ranked = sorted(
         (i for i in range(len(queues)) if queues[i] > 0),
-        key=lambda i: (book.stamps[i][0], 0 if i in host else 1, i),
+        key=lambda i: (waiting[i][0], 0 if i in host else 1, i),
     )
     actions: list[RobotAction | None] = [None] * num_robots
     assigned = 0
@@ -390,26 +361,30 @@ class EslPolicy:
 
 
 class FcfsPolicy:
-    """Oldest-task-first policy; owns the age book for the episode."""
+    """Oldest-task-first policy.  waiting[i] holds the arrival slots of the
+    tasks waiting at location i, oldest first: a departure pops the head
+    (FIFO service) and an arrival appends the slot index."""
 
     name = "fcfs"
 
     def __init__(self, num_locations: int) -> None:
-        self.num_locations = num_locations
-        self.book = TaskAgeBook.empty(num_locations)
+        self.waiting = [deque() for _ in range(num_locations)]
 
     def reset(self, state: SystemState) -> None:
-        # Tasks present before the first slot all get stamp 0.
-        self.book = TaskAgeBook.from_state(state, 0)
+        # Tasks present before the first slot all get arrival slot 0.
+        self.waiting = [deque([0] * q) for q in state.queues]
 
     def decide(self, state: SystemState, now: int) -> JointAction:
-        return fcfs_decide(state, self.book)
+        return fcfs_decide(state, self.waiting)
 
     def observe(self, delta: SlotDelta, now: int) -> None:
-        self.book.record(delta, now)
-
-    def audit(self, state: SystemState) -> None:
-        self.book.check(state)
+        waiting = self.waiting
+        for i, d in enumerate(delta.departures):
+            if d:
+                waiting[i].popleft()
+        for i, a in enumerate(delta.arrivals):
+            if a:
+                waiting[i].append(now)
 
 
 class CyclicPolicy:

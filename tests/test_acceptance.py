@@ -20,7 +20,6 @@ from eslsim import (
     CyclicPlan,
     ExperimentConfig,
     ModelConfig,
-    TaskAgeBook,
     SystemState,
     build_truncated_mdp,
     check_esl_optimality,
@@ -189,10 +188,10 @@ def test_criterion_6_invariant_suites():
         n = rng.randint(2, 6)
         m = rng.randint(1, n)
         s = random_state(rng, n, m)
-        book = TaskAgeBook(
-            [deque(sorted(rng.randint(0, 30) for _ in range(q))) for q in s.queues]
-        )
-        assert is_feasible(s, fcfs_decide(s, book))
+        waiting = [
+            deque(sorted(rng.randint(0, 30) for _ in range(q))) for q in s.queues
+        ]
+        assert is_feasible(s, fcfs_decide(s, waiting))
     for _ in range(100_000):
         n = rng.randint(2, 6)
         m = rng.randint(1, n)

@@ -488,6 +488,14 @@ def test_verify_that_checks_nothing_is_rejected(
             [("p: 0.1\n", "p: 1\n")],
             "instances[0].p: expected a number strictly in (0, 1), got 1.0",
         ),
+        (
+            [("tol: 1.0e-10", "tol: .inf")],
+            "instances[0].tol: expected a finite number > 0, got inf",
+        ),
+        (
+            [("tol: 1.0e-10", "tie_tol: .inf")],
+            "instances[0].tie_tol: expected a finite number >= 0, got inf",
+        ),
     ],
 )
 def test_verify_keys_checked(tmp_path, capsys, edits, message):

@@ -12,6 +12,7 @@ from eslsim import (
     InsufficientReplicationsError,
     ModelConfig,
     aggregate,
+    esl_decide,
     initial_state,
     make_grid,
     optimize_dwell,
@@ -20,7 +21,6 @@ from eslsim import (
     run_grid,
     sample_arrivals,
     step,
-    trace_episode,
     tuned_dwell,
 )
 from eslsim import evaluator
@@ -62,21 +62,13 @@ def test_run_episode_deterministic():
     assert run_episode(cfg, seed=9) == run_episode(cfg, seed=9)
 
 
-def test_trace_agrees_with_run():
-    for policy, params in (
-        ("esl", {}),
-        ("fcfs", {}),
-        ("cyclic", {"t_dwell": 3}),
-    ):
-        cfg = config_for(policy, p=0.35, horizon=300, **params)
-        assert trace_episode(cfg, seed=4).metrics == run_episode(cfg, seed=4)
-
-
 def test_common_seed_gives_common_arrivals():
-    esl = trace_episode(config_for("esl", p=0.3), seed=12)
-    fcfs = trace_episode(config_for("fcfs", p=0.3), seed=12)
-    assert esl.arrivals == fcfs.arrivals
-    assert esl.ledger.arrivals_total == fcfs.ledger.arrivals_total
+    """Whatever the policy, a seeded episode runs on the seed's arrival
+    table: handing that table in explicitly gives the same metrics."""
+    for policy in ("esl", "fcfs"):
+        cfg = config_for(policy, p=0.3)
+        table = _pregen_arrivals(cfg.model, cfg.horizon, seed=12)
+        assert run_episode(cfg, 12, arrivals=table) == run_episode(cfg, 12)
 
 
 def test_pregenerated_table_matches_per_slot_draws():
@@ -133,23 +125,35 @@ def replay_cost(cfg, actions, arrivals):
     return total
 
 
+def esl_actions(cfg, arrivals):
+    """The joint actions esl_decide takes along an arrival table."""
+    state = initial_state(cfg.model)
+    actions = []
+    for arr in arrivals:
+        joint = esl_decide(state)
+        actions.append(joint)
+        state = step(state, joint, arr)[0]
+    return actions
+
+
 def test_extra_arrival_never_cheapens_a_fixed_plan():
-    """Splice one arrival into the path and replay the recorded decisions:
-    the replay stays feasible (queues only grow) and the cost rises by
-    exactly the discounted tail weight of the extra task."""
+    """Splice one arrival into the path and replay esl's decisions on the
+    original path: the replay stays feasible (queues only grow) and the
+    cost rises by exactly the discounted tail weight of the extra task."""
     cfg = config_for("esl", n=3, m=1, p=0.3, horizon=250)
     beta = cfg.model.discount
     for seed in range(3):
-        base = trace_episode(cfg, seed=seed)
-        table = [list(a) for a in base.arrivals]
+        table = _pregen_arrivals(cfg.model, cfg.horizon, seed)
+        actions = esl_actions(cfg, table)
+        base_cost = run_episode(cfg, seed).discounted_cost
+        assert replay_cost(cfg, actions, table) == base_cost
+        table = [list(a) for a in table]
         slot = next(t for t in range(50, 200) if table[t][1] == 0)
         table[slot][1] = 1
-        bumped = replay_cost(cfg, base.actions, table)
-        assert bumped >= base.metrics.discounted_cost - 1e-12
+        bumped = replay_cost(cfg, actions, table)
+        assert bumped >= base_cost - 1e-12
         expected_rise = sum(beta**t for t in range(slot + 1, cfg.horizon))
-        assert bumped - base.metrics.discounted_cost == pytest.approx(
-            expected_rise, abs=1e-9
-        )
+        assert bumped - base_cost == pytest.approx(expected_rise, abs=1e-9)
 
 
 def test_experiment_config_validation():

@@ -15,7 +15,6 @@ from eslsim import (
     ModelConfig,
     RobotAction,
     SlotDelta,
-    SlotLedger,
     SystemState,
     admissible_robot_actions,
     initial_state,
@@ -175,20 +174,19 @@ def test_conservation_over_random_walk():
     rng = random.Random(7)
     model = ModelConfig.symmetric(4, 2, 0.3, 0.9)
     state = initial_state(model)
-    ledger = SlotLedger.empty(4)
     base = sum(state.queues)
+    arrived = departed = 0
     for _ in range(20_000):
         joint = random_feasible_joint(rng, state)
         arrivals = tuple(1 if rng.random() < 0.3 else 0 for _ in range(4))
         state, delta = step(state, joint, arrivals)
-        ledger.record(delta)
-        arr, dep = ledger.totals()
-        assert sum(state.queues) == base + arr - dep
+        arrived += sum(delta.arrivals)
+        departed += sum(delta.departures)
+        assert sum(state.queues) == base + arrived - departed
         assert len(set(state.robots)) == 2
         assert min(state.queues) >= 0
         assert all(d in (0, 1) for d in delta.departures)
         assert sum(delta.departures) <= 2
-    assert ledger.slots == 20_000
 
 
 @given(st.data())
@@ -214,16 +212,6 @@ def test_step_preserves_invariants(data):
 def test_joint_action_enumeration_counts():
     assert len(list(iter_joint_actions(SystemState((0,), (1, 0))))) == 3
     assert len(list(iter_joint_actions(SystemState((0, 1), (1, 1))))) == 5
-
-
-def test_ledger_accumulates_slot_deltas():
-    ledger = SlotLedger.empty(2)
-    ledger.record(SlotDelta((1, 0), (0, 1)))
-    ledger.record(SlotDelta((0, 1), (1, 1)))
-    assert ledger.arrivals_total == [1, 2]
-    assert ledger.departures_total == [1, 1]
-    assert ledger.slots == 2
-    assert ledger.totals() == (3, 2)
 
 
 def test_validate_state_rejects_bad_states():

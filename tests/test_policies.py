@@ -15,10 +15,10 @@ from eslsim import (
     AgeBookDesyncError,
     CyclicPlan,
     DegenerateRateError,
+    FcfsPolicy,
     ModelConfig,
     SlotDelta,
     SystemState,
-    TaskAgeBook,
     continuous_dwell,
     cyclic_decide,
     dwell_metadata,
@@ -93,7 +93,9 @@ def test_shortest_variant_is_feasible_and_targets_shortest(state):
 
 
 def book_with(stamps_by_loc):
-    return TaskAgeBook([deque(s) for s in stamps_by_loc])
+    """fcfs_decide's waiting argument: per location, the arrival slots of
+    the waiting tasks, oldest first."""
+    return [deque(s) for s in stamps_by_loc]
 
 
 def test_fcfs_chases_the_older_task_elsewhere():
@@ -144,23 +146,27 @@ def test_fcfs_decisions_feasible(data):
 
 
 def test_age_book_tracks_service_and_arrivals():
-    book = TaskAgeBook.empty(2)
-    book.record(SlotDelta((0, 0), (1, 0)), slot=0)
-    book.record(SlotDelta((0, 0), (1, 1)), slot=1)
-    assert list(book.stamps[0]) == [0, 1]
-    assert list(book.stamps[1]) == [1]
-    book.record(SlotDelta((1, 0), (0, 0)), slot=2)
-    assert list(book.stamps[0]) == [1]  # the oldest task departed first
-    book.check(SystemState((1,), (1, 1)))
+    policy = FcfsPolicy(2)
+    policy.reset(SystemState((1,), (0, 0)))
+    policy.observe(SlotDelta((0, 0), (1, 0)), 0)
+    policy.observe(SlotDelta((0, 0), (1, 1)), 1)
+    assert list(policy.waiting[0]) == [0, 1]
+    assert list(policy.waiting[1]) == [1]
+    policy.observe(SlotDelta((1, 0), (0, 0)), 2)
+    assert list(policy.waiting[0]) == [1]  # the oldest task departed first
+    # location 0's task (slot 1) is no older than location 1's (slot 1),
+    # so the robot at 1 stays and serves
+    assert policy.decide(SystemState((1,), (1, 1)), 3) == (SERVE_ACTION,)
     with pytest.raises(AgeBookDesyncError):
-        book.check(SystemState((1,), (2, 1)))
+        policy.decide(SystemState((1,), (2, 1)), 3)
 
 
 def test_age_book_from_state_matches_queue_lengths():
     state = SystemState((0,), (2, 0, 1))
-    book = TaskAgeBook.from_state(state, stamp=5)
-    book.check(state)
-    assert list(book.stamps[0]) == [5, 5]
+    policy = FcfsPolicy(3)
+    policy.reset(state)
+    assert [list(w) for w in policy.waiting] == [[0, 0], [], [0]]
+    assert policy.decide(state, 0) == (SERVE_ACTION,)
 
 
 def test_single_location_block_never_switches():
