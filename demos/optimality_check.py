@@ -19,7 +19,7 @@ model = ModelConfig.symmetric(2, 1, 0.3, 0.9)
 mdp = build_truncated_mdp(model, cap=6)
 table = value_iteration(mdp, tol=1e-10)
 print(f"solved {len(table.values)} states in {table.iterations} sweeps, "
-      f"final residual {table.residual:.2e}")
+      f"certified error bound {table.error_bound:.2e}")
 
 # Q-values at one state: robot at an empty location 0, work piling at 1.
 state = SystemState((0,), (0, 4))

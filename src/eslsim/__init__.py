@@ -67,6 +67,7 @@ from .mdp import (
     TruncatedMdp,
     ValueTable,
     Violation,
+    bellman_update,
     build_truncated_mdp,
     check_esl_optimality,
     count_states,

@@ -490,8 +490,10 @@ def cmd_verify(args) -> int:
                 "rule": rule_name,
                 "states": count_states(model, inst["cap"]),
                 "interior_max_queue": inst["cap"] - inst["margin"],
+                "transitions": int(mdp.tr_next.size),
                 "iterations": table.iterations,
                 "residual": _round6(table.residual),
+                "error_bound": _round6(table.error_bound),
                 "violation_count": len(violations),
                 "violations": [
                     _violation_record(v) for v in violations[:200]

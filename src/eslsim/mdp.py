@@ -2,15 +2,19 @@
 
 Queues are capped at C tasks; an arrival to a full queue is discarded, with
 its probability mass folded into the no-arrival branch, which keeps every
-transition row stochastic.  Every state and feasible joint action is kept
-and the kernel is stored explicitly, built with numpy from action templates
-and arrival patterns, with no Python loop per state-action or transition
-(tests/scalar_mdp.py keeps the state-by-state builder as the oracle it
-must match byte for byte).  Value iteration runs to a sup-norm tolerance,
-and the optimality checker compares the serve-longest rule against every
-single-robot deviation through the Q-values.  Conclusions are read only at
-interior states (all queues at least `margin` below the cap) so boundary
-distortion from dropped arrivals cannot leak in.
+transition row stochastic.  Every state and feasible joint action is kept.
+Arrivals land after service and travel, so a state-action's next-state
+distribution depends only on its post-service state: the kernel stores one
+arrival row per post-service state, and each state-action points at its
+row.  It is built with numpy from action templates and arrival patterns,
+with no Python loop per state-action or transition (tests/scalar_mdp.py
+keeps the state-by-state builder of the explicit per-state-action kernel
+as the oracle it must match byte for byte once expanded).  Value iteration
+stops on MacQueen's bounds, which certify the error of the values it
+returns, and the optimality checker compares the serve-longest rule
+against every single-robot deviation through the Q-values.  Conclusions
+are read only at interior states (all queues at least `margin` below the
+cap) so boundary distortion from dropped arrivals cannot leak in.
 """
 
 from __future__ import annotations
@@ -54,9 +58,13 @@ class TruncatedMdp:
     """Flattened enumeration of the capped problem.
 
     states[i] owns actions[sa_offsets[i]:sa_offsets[i+1]] in the
-    state-action axis; state-action k owns transition entries
-    tr_offsets[k]:tr_offsets[k+1] in (tr_next, tr_prob).  sa_cost[k] is the
-    stage cost of the owning state (cost does not depend on the action).
+    state-action axis.  sa_cost[k] is the stage cost of the owning state
+    (cost does not depend on the action), and sa_post[k] is the id of the
+    post-service state, after service, travel and the forced arrivals of
+    p = 1.  Post-service states share the ids of states.  Post-service
+    state j owns the arrival row tr_offsets[j]:tr_offsets[j+1] in
+    (tr_next, tr_prob), so state-action k moves to tr_next[a:b] with
+    probabilities tr_prob[a:b], where a, b bound the row of sa_post[k].
     """
 
     config: ModelConfig
@@ -66,6 +74,7 @@ class TruncatedMdp:
     actions: tuple[JointAction, ...]
     sa_offsets: np.ndarray
     sa_cost: np.ndarray
+    sa_post: np.ndarray
     tr_offsets: np.ndarray
     tr_next: np.ndarray
     tr_prob: np.ndarray
@@ -77,12 +86,17 @@ class TruncatedMdp:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Converged values plus the iteration trail."""
+    """Converged values plus the iteration trail.
+
+    residual is the sup-norm of the last sweep's change; error_bound
+    bounds |values - V*| at every state, V* the capped model's fixed point.
+    """
 
     values: np.ndarray
     iterations: int
     residual: float
     residual_history: tuple[float, ...]
+    error_bound: float
 
 
 def count_states(config: ModelConfig, cap: int) -> int:
@@ -103,11 +117,13 @@ def build_truncated_mdp(
     placement and on which robot-held queues are nonempty, so
     iter_joint_actions runs once per such template, whose rows keep the
     joint, next placement and served locations.  Each state-action gets
-    its post-service state id (with the forced arrivals of p = 1) and a
-    branch code: bit i is set when location i is below the cap with
-    0 < p_i < 1.  The kernel is written one branch code at a time, arrival
-    patterns in itertools.product order ("no arrival" first), each
-    probability multiplied left to right from 1.0.
+    its post-service state id, sa_post, with the forced arrivals of p = 1.
+    Every id then owns one arrival row, in id order, whose branch code is
+    read from the id's queue digits: bit i is set when location i is below
+    the cap with 0 < p_i < 1.  The rows are written one branch code at a
+    time, arrival patterns in itertools.product order ("no arrival"
+    first), each probability multiplied left to right from 1.0, so a
+    state-action's row holds what its explicit row held.
 
     Raises StateSpaceTooLargeError before allocating anything when the
     count of placements times queue vectors exceeds the budget, and
@@ -159,7 +175,7 @@ def build_truncated_mdp(
         for i, placement in enumerate(placements)
     ])
 
-    # per state-action: template row, post-service state id, branch code
+    # per state-action: template row and post-service state id
     counts = np.array([len(t) for t in joints], dtype=np.int64)[state_template]
     sa_offsets = np.concatenate(([0], np.cumsum(counts)))
     sa_state = np.repeat(np.arange(len(states)), counts)
@@ -168,16 +184,19 @@ def build_truncated_mdp(
     )
     sa_queues = sa_state % width
     base = queue_mat[sa_queues] - np.array(row_served).reshape(-1, n)[sa_row]
-    base_id = np.array(row_place)[sa_row] * width + base @ weight
-    code = np.zeros(len(sa_row), dtype=np.int64)
+    sa_post = np.array(row_place)[sa_row] * width + base @ weight
     for i, p in enumerate(probs):
-        below_cap = base[:, i] < cap
         if p == 1.0:
-            base_id += weight[i] * below_cap
-        elif p > 0.0:
-            code |= below_cap.astype(np.int64) << i
+            sa_post += weight[i] * (base[:, i] < cap)
     del base, sa_row, sa_state
 
+    # one arrival row per post-service id; its branch code depends only on
+    # the queue digits, so it repeats across placements
+    code = np.zeros(width, dtype=np.int64)
+    for i, p in enumerate(probs):
+        if 0.0 < p < 1.0:
+            code |= (queue_mat[:, i] < cap).astype(np.int64) << i
+    code = np.tile(code, len(placements))
     fan_out = np.array([1 << c.bit_count() for c in range(1 << n)])
     tr_offsets = np.concatenate(([0], np.cumsum(fan_out[code])))
     tr_next = np.empty(tr_offsets[-1], dtype=np.int64)
@@ -192,12 +211,13 @@ def build_truncated_mdp(
                 offset += weight[i] * arrival
             pattern_probs.append(prob)
             offsets.append(offset)
-        ks = np.flatnonzero(code == c)
-        slots = tr_offsets[ks][:, None] + np.arange(len(offsets))
-        tr_next[slots] = base_id[ks][:, None] + np.array(offsets)
+        posts = np.flatnonzero(code == c)
+        slots = tr_offsets[posts][:, None] + np.arange(len(offsets))
+        tr_next[slots] = posts[:, None] + np.array(offsets)
         tr_prob[slots] = pattern_probs
-    if not 0 <= tr_next.min() <= tr_next.max() < len(states):
-        raise RuntimeError("kernel points outside the state space")
+    for ids in (sa_post, tr_next):
+        if not 0 <= ids.min() <= ids.max() < len(states):
+            raise RuntimeError("kernel points outside the state space")
     return TruncatedMdp(
         config=config,
         cap=cap,
@@ -208,39 +228,79 @@ def build_truncated_mdp(
         )),
         sa_offsets=sa_offsets,
         sa_cost=queue_mat.sum(axis=1)[sa_queues].astype(np.float64),
+        sa_post=sa_post,
         tr_offsets=tr_offsets,
         tr_next=tr_next,
         tr_prob=tr_prob,
     )
 
 
+def bellman_update(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
+    """One Bellman sweep: the table T v read from the table v.
+
+    E[v(next)] is reduced once per post-service arrival row, then each
+    state-action's Q = stage cost + beta * E[v(next)] is read from the row
+    of its post-service state and each state takes its minimum Q.
+    """
+    expected = np.add.reduceat(
+        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
+    )
+    q = mdp.sa_cost + mdp.config.discount * expected[mdp.sa_post]
+    return np.minimum.reduceat(q, mdp.sa_offsets[:-1])
+
+
 def value_iteration(
     mdp: TruncatedMdp, tol: float, max_sweeps: int = 100_000
 ) -> ValueTable:
-    """Two-buffer Bellman iteration to a sup-norm residual below tol.
+    """Two-buffer Bellman iteration stopped on MacQueen's bounds.
 
-    Each sweep reads the previous table and writes a fresh one, so the
-    update is a clean beta-contraction; the returned values sit within
-    tol/(1-beta) of the truncated fixed point.
+    Each sweep reads the previous table v and writes a fresh one, T v.
+    With d = T v - v and k = beta / (1 - beta), the truncated fixed point
+    lies between T v + k * min(d) and T v + k * max(d) at every state
+    (MacQueen, J. Math. Anal. Appl. 14, 1966).  Iteration stops once that
+    band is narrower than tol and returns its midpoint, which is within
+    k * (max d - min d) / 2 < tol / 2 of the fixed point everywhere.
+
+    error_bound adds the rounding of float arithmetic to that half-width.
+    One computed sweep is within (L + N + 3) * u * (max cost + max |T v|)
+    of the exact one, L the longest arrival row, N the locations and u
+    the unit roundoff (products, row sums, the probabilities' N factors and
+    the scaled add), and the bounds carry that error times 1 / (1 - beta).
+    The allowance matters only at large beta and a tol near the rounding
+    floor; there a float fixed point of the sweep can stop the iteration
+    with d = 0 while the values still differ from the fixed point.
+
+    residual_history keeps the sup-norm of d for each sweep.  Raises
+    ConvergenceError when max_sweeps pass without the band closing.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     beta = mdp.config.discount
+    k = beta / (1.0 - beta)
+    row_max = int(np.diff(mdp.tr_offsets).max())
+    rounding = (
+        (row_max + mdp.config.num_locations + 3)
+        * np.finfo(np.float64).eps / 2
+        / (1.0 - beta)
+    )
+    max_cost = float(mdp.sa_cost.max())
     values = np.zeros(len(mdp.states))
-    seg_sa = mdp.sa_offsets[:-1]
-    seg_tr = mdp.tr_offsets[:-1]
     history: list[float] = []
     for sweep in range(1, max_sweeps + 1):
-        expected = np.add.reduceat(
-            mdp.tr_prob * values[mdp.tr_next], seg_tr
-        )
-        q = mdp.sa_cost + beta * expected
-        new_values = np.minimum.reduceat(q, seg_sa)
-        residual = float(np.max(np.abs(new_values - values)))
-        history.append(residual)
+        new_values = bellman_update(mdp, values)
+        diff = new_values - values
+        lo, hi = float(diff.min()), float(diff.max())
+        history.append(max(hi, -lo))
         values = new_values
-        if residual < tol:
-            return ValueTable(values, sweep, residual, tuple(history))
+        if k * (hi - lo) < tol:
+            return ValueTable(
+                values + k * (hi + lo) / 2,
+                sweep,
+                history[-1],
+                tuple(history),
+                k * (hi - lo) / 2
+                + rounding * (max_cost + float(np.abs(values).max())),
+            )
     raise ConvergenceError(
         f"value iteration did not converge within {max_sweeps} sweeps "
         f"(last residual {history[-1] if history else float('nan'):.3g}, "
@@ -257,7 +317,8 @@ def q_values(
     lo, hi = mdp.sa_offsets[state_id], mdp.sa_offsets[state_id + 1]
     out: dict[JointAction, float] = {}
     for k in range(lo, hi):
-        a, b = mdp.tr_offsets[k], mdp.tr_offsets[k + 1]
+        post = mdp.sa_post[k]
+        a, b = mdp.tr_offsets[post], mdp.tr_offsets[post + 1]
         expected = float(
             np.dot(mdp.tr_prob[a:b], table.values[mdp.tr_next[a:b]])
         )

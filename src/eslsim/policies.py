@@ -158,6 +158,16 @@ class CyclicPlan:
                     raise ValueError("blocks must not overlap")
                 seen.add(loc)
 
+    def _moved(
+        self, cursors: tuple[int, ...], counters: tuple[int, ...]
+    ) -> "CyclicPlan":
+        """This plan at new cursors and counters.  The blocks and the dwell
+        were checked when the plan was made, so they are not walked again:
+        this is the per-slot update of cyclic_decide."""
+        plan = object.__new__(CyclicPlan)
+        plan.__dict__.update(self.__dict__, cursors=cursors, counters=counters)
+        return plan
+
     @classmethod
     def build(
         cls, num_locations: int, num_robots: int, t_dwell: int
@@ -207,10 +217,7 @@ def cyclic_decide(
             cursors[r] = (cursors[r] + 1) % len(block)
             counters[r] = plan.t_dwell
             actions.append(switch_to(block[cursors[r]]))
-    new_plan = CyclicPlan(
-        plan.blocks, plan.t_dwell, tuple(cursors), tuple(counters)
-    )
-    return tuple(actions), new_plan
+    return tuple(actions), plan._moved(tuple(cursors), tuple(counters))
 
 
 def dwell_objective(p: float, n: int, total_time: float) -> float:

@@ -3,23 +3,26 @@ oracle that eslsim.mdp.build_truncated_mdp must match byte for byte.
 
 It walks every state, every feasible joint action and every arrival
 branch one Python tuple at a time and looks each next state up in the
-index, so it is slow but plain; test_mdp.py compares the two builders on
+index, so it is slow but plain.  It stores the explicit kernel, one
+transition row per state-action; test_mdp.py expands the fast builder's
+post-service rows back to that form and compares the two builders on
 states, actions and all five kernel arrays.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from eslsim.mdp import (
     DEFAULT_STATE_BUDGET,
     StateSpaceTooLargeError,
-    TruncatedMdp,
     count_states,
 )
 from eslsim.model import (
     SERVE,
     SWITCH,
+    JointAction,
     ModelConfig,
     SystemState,
     iter_joint_actions,
@@ -27,12 +30,30 @@ from eslsim.model import (
 )
 
 
+@dataclass(frozen=True)
+class ExplicitMdp:
+    """TruncatedMdp's enumeration with an explicit kernel: state-action k
+    owns transition entries tr_offsets[k]:tr_offsets[k+1] in
+    (tr_next, tr_prob)."""
+
+    config: ModelConfig
+    cap: int
+    states: tuple[SystemState, ...]
+    index: dict
+    actions: tuple[JointAction, ...]
+    sa_offsets: np.ndarray
+    sa_cost: np.ndarray
+    tr_offsets: np.ndarray
+    tr_next: np.ndarray
+    tr_prob: np.ndarray
+
+
 def build_truncated_mdp_scalar(
     config: ModelConfig,
     cap: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
-) -> TruncatedMdp:
-    """Enumerate states, feasible joint actions and the transition kernel.
+) -> ExplicitMdp:
+    """Enumerate states, feasible joint actions and the explicit kernel.
 
     Raises StateSpaceTooLargeError before allocating anything when the
     count of placements times queue vectors exceeds the budget.
@@ -90,7 +111,7 @@ def build_truncated_mdp_scalar(
             actions.append(joint)
             sa_cost.append(cost)
         sa_offsets.append(len(actions))
-    return TruncatedMdp(
+    return ExplicitMdp(
         config=config,
         cap=cap,
         states=tuple(states),

@@ -393,6 +393,9 @@ def test_verify_passes_on_serve_longest(tmp_path):
     assert payload["ok"] is True
     assert payload["instances"][0]["violation_count"] == 0
     assert payload["instances"][0]["interior_max_queue"] == 3  # cap - margin
+    # one arrival row per post-service state: 2 placements x (5 * 2 + 1)^2
+    assert payload["instances"][0]["transitions"] == 242
+    assert 0.0 < payload["instances"][0]["error_bound"] < 1.0e-10  # tol
     assert all(c["pattern_failures"] == 0 for c in payload["coupling"])
 
 

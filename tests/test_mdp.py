@@ -13,9 +13,11 @@ from scalar_mdp import build_truncated_mdp_scalar
 from eslsim import (
     IDLE_ACTION,
     SERVE_ACTION,
+    ConvergenceError,
     ModelConfig,
     StateSpaceTooLargeError,
     SystemState,
+    bellman_update,
     build_truncated_mdp,
     check_esl_optimality,
     count_states,
@@ -251,15 +253,38 @@ def test_enumeration_caps_guard_with_override():
 
 
 def test_residual_history_contracts_geometrically():
-    model = ModelConfig.symmetric(2, 1, 0.3, 0.9)
+    for beta in (0.9, 0.99):
+        model = ModelConfig.symmetric(2, 1, 0.3, beta)
+        mdp = build_truncated_mdp(model, cap=5)
+        table = value_iteration(mdp, tol=1e-10)
+        h = table.residual_history
+        reference = value_iteration(mdp, tol=1e-13)
+        error = np.abs(table.values - reference.values)
+        assert table.residual == h[-1]
+        assert np.all(error <= table.error_bound) and table.error_bound < 1e-10
+        assert table.iterations == len(h)
+        # absolute epsilon: late residuals sit at float rounding scale
+        for a, b in zip(h, h[1:]):
+            assert b <= beta * a + 1e-12
+
+
+def test_value_iteration_returns_the_certified_midpoint():
+    """At beta 0.99 and a loose tol the bounds close while the sweep's
+    sup-norm change is still far above tol, so a stop on that residual
+    would run on; T v itself sits near k * min(d) off the fixed point,
+    far outside the bound that the midpoint keeps."""
+    model = ModelConfig.symmetric(2, 1, 0.3, 0.99)
     mdp = build_truncated_mdp(model, cap=5)
-    table = value_iteration(mdp, tol=1e-10)
-    h = table.residual_history
-    assert table.residual == h[-1] < 1e-10
-    assert table.iterations == len(h)
-    # absolute epsilon: late residuals sit at float rounding scale
-    for a, b in zip(h, h[1:]):
-        assert b <= 0.9 * a + 1e-12
+    tol = 1e-6
+    table = value_iteration(mdp, tol=tol)
+    reference = value_iteration(mdp, tol=1e-12)
+    assert table.residual > 1000 * tol
+    assert 0.0 < table.error_bound < tol / 2
+    error = np.abs(table.values - reference.values)
+    assert float(error.max()) <= table.error_bound
+    # the band is this narrow only at the final sweep
+    with pytest.raises(ConvergenceError):
+        value_iteration(mdp, tol=tol, max_sweeps=table.iterations - 1)
 
 
 def test_value_monotone_in_queue_lengths():
@@ -302,14 +327,34 @@ def test_state_actions_slices_align():
 KERNEL_ARRAYS = ("sa_offsets", "sa_cost", "tr_offsets", "tr_next", "tr_prob")
 
 
+def expand_kernel(mdp):
+    """The explicit kernel of a TruncatedMdp: every state-action gets a
+    copy of its post-service state's arrival row."""
+    rows = [
+        range(mdp.tr_offsets[j], mdp.tr_offsets[j + 1])
+        for j in mdp.sa_post.tolist()
+    ]
+    entries = np.array([e for row in rows for e in row], dtype=np.int64)
+    return {
+        "sa_offsets": mdp.sa_offsets,
+        "sa_cost": mdp.sa_cost,
+        "tr_offsets": np.cumsum([0] + [len(row) for row in rows]),
+        "tr_next": mdp.tr_next[entries],
+        "tr_prob": mdp.tr_prob[entries],
+    }
+
+
 def assert_same_as_scalar(model, cap):
     fast = build_truncated_mdp(model, cap)
     slow = build_truncated_mdp_scalar(model, cap)
     assert fast.states == slow.states
     assert fast.index == slow.index
     assert fast.actions == slow.actions
+    # one arrival row per post-service state, in id order
+    assert len(fast.tr_offsets) == len(fast.states) + 1
+    explicit = expand_kernel(fast)
     for name in KERNEL_ARRAYS:
-        got, want = getattr(fast, name), getattr(slow, name)
+        got, want = explicit[name], getattr(slow, name)
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -355,3 +400,39 @@ def test_template_build_matches_scalar_oracle_fuzzed(n, m_draw, cap, probs):
     # keeps the scalar oracle's per-transition loop to well under a second
     assume(count_states(model, cap) <= 1000)
     assert_same_as_scalar(model, cap)
+
+
+def explicit_sweep(mdp, values):
+    """One Bellman sweep over a per-state-action kernel."""
+    expected = np.add.reduceat(
+        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
+    )
+    q = mdp.sa_cost + mdp.config.discount * expected
+    return np.minimum.reduceat(q, mdp.sa_offsets[:-1])
+
+
+@pytest.mark.parametrize(
+    "n,m,cap,probs",
+    [
+        (2, 1, 4, (0.3, 0.3)),
+        (3, 2, 4, (0.1, 0.35, 0.6)),
+        (4, 2, 2, (0.1, 0.35, 0.6, 0.85)),
+        (3, 2, 3, (0.3, 0.0, 1.0)),
+        (4, 2, 2, (0.0, 1.0, 0.7, 1.0)),
+    ],
+)
+def test_bellman_update_matches_explicit_kernel(n, m, cap, probs):
+    """A sweep on the post-service rows equals, bit for bit, the sweep over
+    the scalar oracle's explicit kernel: along the iteration from zero and
+    from a random table."""
+    model = ModelConfig(n, m, probs, 0.9)
+    fast = build_truncated_mdp(model, cap)
+    slow = build_truncated_mdp_scalar(model, cap)
+    values = np.zeros(len(slow.states))
+    for _ in range(3):
+        want = explicit_sweep(slow, values)
+        assert bellman_update(fast, values).tobytes() == want.tobytes()
+        values = want
+    values = np.random.default_rng(7).uniform(0.0, 40.0, len(slow.states))
+    want = explicit_sweep(slow, values)
+    assert bellman_update(fast, values).tobytes() == want.tobytes()
