@@ -49,6 +49,9 @@ table3 = value_iteration(mdp3, tol=1e-10)
 bad = check_esl_optimality(
     mdp3, table3, margin=2, tie_tol=1e-9, rule=switch_to_shortest_decide
 )
+# The six violations are mirror images of one state and share one gap up
+# to float rounding, so show the first with the robot at location 1.
 print(f"switch-to-shortest audit: {len(bad)} violations, e.g.")
-worst = max(bad, key=lambda v: v.gap)
-print(f"  state {worst.state}: {worst.kind}, overpays by {worst.gap:.4f}")
+example = next(v for v in bad if v.state.robots == (1,))
+print(f"  state {example.state}: {example.kind}, "
+      f"overpays by {example.gap:.4f}")

@@ -71,8 +71,8 @@ from .mdp import (
     build_truncated_mdp,
     check_esl_optimality,
     count_states,
-    is_interior,
     monotonicity_violations,
+    q_table,
     q_values,
     value_iteration,
 )

@@ -45,14 +45,13 @@ from .evaluator import (
     run_grid,
 )
 from .mdp import (
-    AUDIT_MAX_LOCATIONS,
-    AUDIT_MAX_ROBOTS,
     DEFAULT_STATE_BUDGET,
     ConvergenceError,
     StateSpaceTooLargeError,
     build_truncated_mdp,
     check_esl_optimality,
     count_states,
+    monotonicity_violations,
     value_iteration,
 )
 from .model import ModelConfig
@@ -84,6 +83,10 @@ CHECK_RULES = {
     "esl": esl_decide,
     "switch-shortest": switch_to_shortest_decide,
 }
+# The audit reads every feasible joint action at every interior state;
+# verify refuses instances past these sizes.
+AUDIT_MAX_LOCATIONS = 4
+AUDIT_MAX_ROBOTS = 3
 
 
 class ConfigError(Exception):
@@ -481,7 +484,8 @@ def cmd_verify(args) -> int:
             tie_tol=inst["tie_tol"],
             rule=CHECK_RULES[rule_name],
         )
-        if violations:
+        dips = monotonicity_violations(mdp, table)
+        if violations or dips:
             ok = False
         instance_reports.append(
             {
@@ -498,6 +502,7 @@ def cmd_verify(args) -> int:
                 "violations": [
                     _violation_record(v) for v in violations[:200]
                 ],
+                "monotonicity_violation_count": len(dips),
             }
         )
 
@@ -554,9 +559,11 @@ def cmd_verify(args) -> int:
         fh.write("\n")
     if not ok:
         total = sum(r["violation_count"] for r in instance_reports)
+        dips = sum(r["monotonicity_violation_count"] for r in instance_reports)
         fails = sum(r["pattern_failures"] for r in coupling_reports)
         print(
             f"verify failed: {total} optimality violations, "
+            f"{dips} monotonicity violations, "
             f"{fails} coupling pattern failures",
             file=sys.stderr,
         )

@@ -11,10 +11,12 @@ with no Python loop per state-action or transition (tests/scalar_mdp.py
 keeps the state-by-state builder of the explicit per-state-action kernel
 as the oracle it must match byte for byte once expanded).  Value iteration
 stops on MacQueen's bounds, which certify the error of the values it
-returns, and the optimality checker compares the serve-longest rule
-against every single-robot deviation through the Q-values.  Conclusions
-are read only at interior states (all queues at least `margin` below the
-cap) so boundary distortion from dropped arrivals cannot leak in.
+returns.  q_table computes every state-action's Q in one pass; the sweep
+takes each state's minimum over it, and the optimality checker reads the
+same table to compare the serve-longest rule against every single-robot
+deviation.  Conclusions are read only at interior states (all queues at
+least `margin` below the cap) so boundary distortion from dropped
+arrivals cannot leak in.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .model import (
 from .policies import esl_decide
 
 DEFAULT_STATE_BUDGET = 5_000_000
-# check_esl_optimality enumerates every joint action at every interior
-# state; past these sizes it refuses unless the caller raises them.
-AUDIT_MAX_LOCATIONS = 4
-AUDIT_MAX_ROBOTS = 3
 
 
 class StateSpaceTooLargeError(RuntimeError):
@@ -235,18 +233,26 @@ def build_truncated_mdp(
     )
 
 
-def bellman_update(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
-    """One Bellman sweep: the table T v read from the table v.
-
-    E[v(next)] is reduced once per post-service arrival row, then each
-    state-action's Q = stage cost + beta * E[v(next)] is read from the row
-    of its post-service state and each state takes its minimum Q.
-    """
+def q_table(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
+    """Q = stage cost + beta * E[v(next)] for every state-action, read from
+    the table v.  E[v(next)] is reduced once per post-service arrival row,
+    then each state-action reads the row of its post-service state."""
     expected = np.add.reduceat(
         mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
     )
-    q = mdp.sa_cost + mdp.config.discount * expected[mdp.sa_post]
-    return np.minimum.reduceat(q, mdp.sa_offsets[:-1])
+    return mdp.sa_cost + mdp.config.discount * expected[mdp.sa_post]
+
+
+def bellman_update(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
+    """One Bellman sweep: the table T v, each state's minimum Q over v."""
+    return np.minimum.reduceat(q_table(mdp, values), mdp.sa_offsets[:-1])
+
+
+def _queue_grid(mdp: TruncatedMdp, per_state: np.ndarray) -> np.ndarray:
+    """per_state, indexed by state id, viewed as placement x queue digits:
+    axis 0 the placement, axis 1 + i the length of queue i."""
+    n = mdp.config.num_locations
+    return per_state.reshape((-1,) + (mdp.cap + 1,) * n)
 
 
 def value_iteration(
@@ -313,17 +319,9 @@ def q_values(
 ) -> dict[JointAction, float]:
     """Q(a) = stage cost + beta * E[V(next)] for every feasible joint."""
     state_id = mdp.index[state]
-    beta = mdp.config.discount
     lo, hi = mdp.sa_offsets[state_id], mdp.sa_offsets[state_id + 1]
-    out: dict[JointAction, float] = {}
-    for k in range(lo, hi):
-        post = mdp.sa_post[k]
-        a, b = mdp.tr_offsets[post], mdp.tr_offsets[post + 1]
-        expected = float(
-            np.dot(mdp.tr_prob[a:b], table.values[mdp.tr_next[a:b]])
-        )
-        out[mdp.actions[k]] = mdp.sa_cost[k] + beta * expected
-    return out
+    q = q_table(mdp, table.values)[lo:hi]
+    return dict(zip(mdp.actions[lo:hi], q.tolist()))
 
 
 @dataclass(frozen=True)
@@ -337,43 +335,38 @@ class Violation:
     alternative: JointAction | None = None
 
 
-def is_interior(state: SystemState, cap: int, margin: int) -> bool:
-    return all(x <= cap - margin for x in state.queues)
-
-
 def check_esl_optimality(
     mdp: TruncatedMdp,
     table: ValueTable,
     margin: int,
     tie_tol: float = 1e-9,
     rule=esl_decide,
-    max_robots: int = AUDIT_MAX_ROBOTS,
-    max_locations: int = AUDIT_MAX_LOCATIONS,
 ) -> list[Violation]:
     """Audit the serve-longest rule against the exact Q-values.
 
-    At every interior state the rule's joint action must (a) attain the
-    minimum Q up to tie_tol, (b) for each robot with local work, beat every
-    single-robot deviation to idle or switch strictly, and (c) for each
-    robot the rule sends to a queue, beat both idling and switching to any
-    strictly shorter nonempty queue.  Equal-length targets may tie (the
-    arrival rates are symmetric in the instances we check), which is why
-    only strictly shorter targets are compared.  Returns all failures;
-    empty list means the rule passed.
+    The Q-values are q_table over the solved values, the table whose
+    per-state minimum the sweep takes.  At every interior state, in id
+    order, the rule's joint action must (a) attain the minimum Q up to
+    tie_tol, (b) for each robot with local work, beat every single-robot
+    deviation to idle or switch strictly, and (c) for each robot the rule
+    sends to a queue, beat both idling and switching to any strictly
+    shorter nonempty queue.  Equal-length targets may tie (the arrival
+    rates are symmetric in the instances we check), which is why only
+    strictly shorter targets are compared.  Returns all failures; empty
+    list means the rule passed.
     """
     if margin < 1 or margin >= mdp.cap:
         raise ValueError("margin must satisfy 1 <= margin < cap")
-    cfg = mdp.config
-    if cfg.num_robots > max_robots or cfg.num_locations > max_locations:
-        raise ValueError(
-            "instance exceeds the joint-action enumeration caps; "
-            "raise max_robots/max_locations explicitly to override"
-        )
+    n = mdp.config.num_locations
+    inner = (slice(None),) + (slice(None, mdp.cap - margin + 1),) * n
+    interior = _queue_grid(mdp, np.arange(len(mdp.states)))[inner].ravel()
+    q_all = q_table(mdp, table.values)
     violations: list[Violation] = []
-    for state in mdp.states:
-        if not is_interior(state, mdp.cap, margin):
-            continue
-        q = q_values(mdp, table, state)
+    starts = mdp.sa_offsets[interior].tolist()
+    ends = mdp.sa_offsets[interior + 1].tolist()
+    for state_id, lo, hi in zip(interior.tolist(), starts, ends):
+        state = mdp.states[state_id]
+        q = dict(zip(mdp.actions[lo:hi], q_all[lo:hi].tolist()))
         chosen = rule(state)
         if chosen not in q:
             violations.append(
@@ -416,7 +409,7 @@ def check_esl_optimality(
                             alternative=alt,
                         )
                     )
-                for j in range(cfg.num_locations):
+                for j in range(n):
                     if j == loc or not 0 < queues[j] < target_len:
                         continue
                     alt = (
@@ -453,18 +446,12 @@ def monotonicity_violations(
     """States where adding one task at some location lowers the value.
 
     The optimal cost must be coordinate-wise non-decreasing in the queue
-    vector; returns (state, location) pairs that break that, if any.
+    vector; returns the (state, location) pairs that break that by more
+    than tol, in state id then location order.
     """
-    bad: list[tuple[SystemState, int]] = []
-    for state in mdp.states:
-        v = table.values[mdp.index[state]]
-        robots, queues = state
-        for i, x in enumerate(queues):
-            if x >= mdp.cap:
-                continue
-            bumped = SystemState(
-                robots, queues[:i] + (x + 1,) + queues[i + 1:]
-            )
-            if table.values[mdp.index[bumped]] < v - tol:
-                bad.append((state, i))
-    return bad
+    grid = _queue_grid(mdp, table.values)
+    n = mdp.config.num_locations
+    # the appended +inf keeps a queue at the cap from counting as a dip
+    rises = [np.diff(grid, axis=1 + i, append=np.inf) for i in range(n)]
+    dips = np.stack(rises, axis=-1).reshape(len(mdp.states), n) < -tol
+    return [(mdp.states[s], i) for s, i in np.argwhere(dips).tolist()]

@@ -1,6 +1,7 @@
 """Command-line front end: file outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -392,11 +393,36 @@ def test_verify_passes_on_serve_longest(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["ok"] is True
     assert payload["instances"][0]["violation_count"] == 0
+    assert payload["instances"][0]["monotonicity_violation_count"] == 0
     assert payload["instances"][0]["interior_max_queue"] == 3  # cap - margin
     # one arrival row per post-service state: 2 placements x (5 * 2 + 1)^2
     assert payload["instances"][0]["transitions"] == 242
     assert 0.0 < payload["instances"][0]["error_bound"] < 1.0e-10  # tol
     assert all(c["pattern_failures"] == 0 for c in payload["coupling"])
+
+
+def test_verify_fails_on_a_value_dip(tmp_path, capsys, monkeypatch):
+    """A value table that drops when a queue grows fails verify even when
+    the audit passes.  The dip sits at queues (5, 4), outside the interior
+    and out of one slot's reach of it, so only the monotonicity check can
+    see it: it flags (4, 4) at location 0 and (5, 3) at location 1."""
+    solve = cli.value_iteration
+
+    def dipped(mdp, tol):
+        table = solve(mdp, tol)
+        values = table.values.copy()
+        values[mdp.index[eslsim.SystemState((0,), (5, 4))]] -= 100.0
+        return dataclasses.replace(table, values=values)
+
+    monkeypatch.setattr(cli, "value_iteration", dipped)
+    cfg = write(tmp_path / "verify.yaml", VERIFY_OK)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "2 monotonicity violations" in capsys.readouterr().err
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["ok"] is False
+    assert payload["instances"][0]["violation_count"] == 0
+    assert payload["instances"][0]["monotonicity_violation_count"] == 2
 
 
 def test_verify_flags_perverted_rule(tmp_path, capsys):

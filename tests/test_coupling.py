@@ -2,6 +2,7 @@
 
 import pytest
 
+import eslsim.coupling
 from eslsim import (
     ModelConfig,
     SCENARIO_NAMES,
@@ -107,6 +108,29 @@ def test_uncoupled_run_is_flagged_not_judged():
     assert not report.coupled
     problems = check_gap_pattern(report)
     assert problems and "couple" in problems[0]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_lost_departure_breaks_the_conservation_check(name, monkeypatch):
+    """A step that under-reports one departure leaves the departure gap
+    one task off the backlog difference, and the harness must refuse to
+    report the run."""
+    real_step = eslsim.coupling.step
+    dropped = []
+
+    def lossy_step(state, joint, arrivals):
+        next_state, delta = real_step(state, joint, arrivals)
+        if not dropped and any(delta.departures):
+            dropped.append(delta.departures.index(1))
+            departures = list(delta.departures)
+            departures[dropped[0]] = 0
+            delta = delta._replace(departures=tuple(departures))
+        return next_state, delta
+
+    monkeypatch.setattr(eslsim.coupling, "step", lossy_step)
+    with pytest.raises(RuntimeError, match="conservation identity"):
+        coupled_run(make_scenario(name), horizon=200, seed=0)
+    assert dropped
 
 
 def test_bad_horizon_rejected():

@@ -1,5 +1,6 @@
 """Exact solver: enumeration counts, value iteration, Q-value audits."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -21,8 +22,8 @@ from eslsim import (
     check_esl_optimality,
     count_states,
     esl_decide,
-    is_interior,
     monotonicity_violations,
+    q_table,
     q_values,
     switch_to,
     switch_to_shortest_decide,
@@ -242,13 +243,26 @@ def test_margin_bounds_checked():
             check_esl_optimality(mdp, table, margin=bad)
 
 
-def test_enumeration_caps_guard_with_override():
-    model = ModelConfig.symmetric(5, 1, 0.1, 0.9)
-    mdp = build_truncated_mdp(model, cap=2)
-    table = value_iteration(mdp, tol=1e-8)
-    with pytest.raises(ValueError, match="max_robots/max_locations"):
-        check_esl_optimality(mdp, table, margin=1)
-    assert check_esl_optimality(mdp, table, margin=1, max_locations=5) == []
+@pytest.mark.parametrize(
+    "n,m,counts",
+    [
+        (3, 1, {"serve-not-strict": 162, "idle-not-strict": 24,
+                "shorter-not-strict": 6}),
+        (4, 2, {"serve-not-strict": 3888, "idle-not-strict": 528,
+                "shorter-not-strict": 96}),
+    ],
+)
+def test_every_eligible_comparison_fires_at_huge_tie_tol(n, m, counts):
+    """With tie_tol = 1e9 every deviation the audit compares counts as a
+    tie, so each clause reports exactly the comparisons it is eligible
+    for: serving robots against each single-robot idle or switch, and
+    robots the rule sends to a queue against idling and against each
+    strictly shorter nonempty queue.  not-argmin cannot fire."""
+    model = ModelConfig.symmetric(n, m, 0.2, 0.9)
+    mdp = build_truncated_mdp(model, cap=4)
+    table = value_iteration(mdp, tol=1e-10)
+    violations = check_esl_optimality(mdp, table, margin=2, tie_tol=1e9)
+    assert Counter(v.kind for v in violations) == counts
 
 
 def test_residual_history_contracts_geometrically():
@@ -290,9 +304,20 @@ def test_value_monotone_in_queue_lengths():
     assert monotonicity_violations(mdp, table) == []
 
 
-def test_interior_predicate():
-    assert is_interior(SystemState((0,), (3, 3)), cap=6, margin=3)
-    assert not is_interior(SystemState((0,), (4, 0)), cap=6, margin=3)
+def test_monotonicity_flags_a_planted_dip():
+    """Lowering one state's value below its neighbours' flags exactly
+    the two states one task short of it, each at the location whose bump
+    lands on the dip, in state id order; the dip's own bumps stay above."""
+    model = ModelConfig.symmetric(2, 1, 0.2, 0.9)
+    mdp = build_truncated_mdp(model, cap=4)
+    table = value_iteration(mdp, tol=1e-10)
+    values = table.values.copy()
+    values[mdp.index[SystemState((0,), (2, 1))]] -= 100.0
+    dipped = dataclasses.replace(table, values=values)
+    assert monotonicity_violations(mdp, dipped) == [
+        (SystemState((0,), (1, 1)), 0),
+        (SystemState((0,), (2, 0)), 1),
+    ]
 
 
 def test_value_iteration_guards():
@@ -398,13 +423,17 @@ def test_template_build_matches_scalar_oracle_fuzzed(n, m_draw, cap, probs):
     assert_same_as_scalar(model, cap)
 
 
-def explicit_sweep(mdp, values):
-    """One Bellman sweep over a per-state-action kernel."""
+def explicit_q(mdp, values):
+    """Every state-action's Q over a per-state-action kernel."""
     expected = np.add.reduceat(
         mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
     )
-    q = mdp.sa_cost + mdp.config.discount * expected
-    return np.minimum.reduceat(q, mdp.sa_offsets[:-1])
+    return mdp.sa_cost + mdp.config.discount * expected
+
+
+def explicit_sweep(mdp, values):
+    """One Bellman sweep over a per-state-action kernel."""
+    return np.minimum.reduceat(explicit_q(mdp, values), mdp.sa_offsets[:-1])
 
 
 @pytest.mark.parametrize(
@@ -418,17 +447,34 @@ def explicit_sweep(mdp, values):
     ],
 )
 def test_bellman_update_matches_explicit_kernel(n, m, cap, probs):
-    """A sweep on the post-service rows equals, bit for bit, the sweep over
-    the scalar oracle's explicit kernel: along the iteration from zero and
-    from a random table."""
+    """The Q table and the sweep on the post-service rows equal, bit for
+    bit, those over the scalar oracle's explicit kernel: along the
+    iteration from zero and from a random table."""
     model = ModelConfig(n, m, probs, 0.9)
     fast = build_truncated_mdp(model, cap)
     slow = build_truncated_mdp_scalar(model, cap)
     values = np.zeros(len(slow.states))
     for _ in range(3):
+        assert q_table(fast, values).tobytes() == (
+            explicit_q(slow, values).tobytes()
+        )
         want = explicit_sweep(slow, values)
         assert bellman_update(fast, values).tobytes() == want.tobytes()
         values = want
     values = np.random.default_rng(7).uniform(0.0, 40.0, len(slow.states))
+    want = explicit_q(slow, values)
+    assert q_table(fast, values).tobytes() == want.tobytes()
     want = explicit_sweep(slow, values)
     assert bellman_update(fast, values).tobytes() == want.tobytes()
+
+
+def test_q_values_read_the_q_table():
+    model = ModelConfig.symmetric(3, 2, 0.3, 0.9)
+    mdp = build_truncated_mdp(model, cap=3)
+    table = value_iteration(mdp, tol=1e-10)
+    q = q_table(mdp, table.values)
+    for i, state in enumerate(mdp.states):
+        lo, hi = mdp.sa_offsets[i], mdp.sa_offsets[i + 1]
+        got = q_values(mdp, table, state)
+        assert list(got) == list(mdp.state_actions(i))
+        assert list(got.values()) == q[lo:hi].tolist()
