@@ -1,14 +1,23 @@
 """Watch the exchange arguments behind serve-longest play out on paths.
 
-Each scenario pairs a greedy system G with a deviating twin D on the
-same arrival stream and tracks gap(t), the discounted-cost difference
-D minus G accumulated so far.  The gap follows a closed form in the
-random meeting times, so every path is checkable exactly:
+Each scenario pairs a system G, whose robot takes one deviating move at
+slot 0, with a reference system PI that takes the move serve-longest
+prescribes; both then follow the scenario's scripted continuation.  gap(t)
+is the departure gap D_PI(t) - D_G(t), the tasks PI has completed beyond
+G by slot t, which equals G's extra backlog.  It follows an exact shape in
+the random landmark slots (tau, and k for prop4), so every path is
+checkable; once the pair meets, the gap freezes and the discounted cost
+difference G - PI closes in geometric form.
 
-  prop1A  idling instead of serving an occupied queue
-  prop1B  abandoning a nonempty queue for an empty one
-  prop2   stopping one short of the occupied neighbour
-  prop4   switching to the shorter of two queues
+  prop1A  G switches away from a nonempty queue instead of serving it
+  prop1B  G idles at a nonempty queue instead of serving it
+  prop2   G idles at an empty queue instead of switching to a nonempty one
+  prop4   G switches to the shorter of two nonempty queues, PI the longer
+
+prop1A and prop1B run both systems on one arrival stream.  prop2 and prop4
+give PI the same draw with the streams of locations 0 and 1 swapped, which
+keeps the joint law because those two locations share an arrival
+probability.
 
 Run with:  python3 demos/coupling_patterns.py
 """
@@ -26,7 +35,7 @@ for name in SCENARIO_NAMES:
           f"coupled at t={report.coupling_time}")
     shown = report.gap[: report.coupling_time + 2]
     print("  gap(t):", " ".join(f"{g:+d}" for g in shown), "...")
-    print(f"  discounted diff D-G = {report.discounted_diff:+.6f}")
+    print(f"  discounted cost diff G-PI = {report.discounted_diff:+.6f}")
     assert check_gap_pattern(report) == []
 
 # The per-path form is not a fluke of one seed.  Sweep many streams and

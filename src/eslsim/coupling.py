@@ -28,6 +28,11 @@ Robot 0 is always the protagonist.  Any other robots are parked: they
 serve their own location when it is nonempty and idle otherwise, behave
 identically in both systems, and must sit away from the locations the
 scenario manipulates.
+
+coupled_run holds the one paired slot loop.  Everything particular to a
+scenario (its default instance, precondition, scripted moves, meeting test
+and predicted gap shape) sits in one _Script subclass, looked up by code in
+_SCRIPTS.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from .model import (
     validate_state,
 )
 
-SCENARIO_NAMES = ("prop1A", "prop1B", "prop2", "prop4")
-
 
 class ScenarioPreconditionError(ValueError):
     """Initial state or rates do not satisfy the scenario hypothesis."""
@@ -62,6 +65,9 @@ class CouplingScenario:
     name: str
     model: ModelConfig
     initial_state: SystemState
+
+    def __post_init__(self) -> None:
+        validate_scenario(self)
 
 
 @dataclass
@@ -91,6 +97,280 @@ class CouplingReport:
     discounted_diff: float
 
 
+def _swap01(vec: tuple[int, ...]) -> tuple[int, ...]:
+    return (vec[1], vec[0]) + vec[2:]
+
+
+_SWAP_LOC = {0: 1, 1: 0}
+
+
+def _serve_or_idle(state: SystemState) -> RobotAction:
+    return (
+        SERVE_ACTION if state.queues[state.robots[0]] > 0 else IDLE_ACTION
+    )
+
+
+class _Script:
+    """One scenario's rules; an instance carries one run's landmarks.
+
+    default is the canonical instance (locations, robot positions, queues),
+    and swap says PI reads the draw with streams 0 and 1 swapped.  holds is
+    the precondition on a state validate_state accepts.  moves gives robot
+    0's moves in G and PI at slot t (at slot 0 both sides are the start
+    state); met says whether the pair has met after slot t, and raises
+    RuntimeError where the scenario's argument says it must have.  shape
+    yields the ways a coupled report's gap departs from the predicted form.
+    """
+
+    default: tuple[int, tuple[int, ...], tuple[int, ...]]
+    swap = False
+    tau: int | None = None
+    k: int | None = None
+
+
+class _Prop1A(_Script):
+    """Switch away from a nonempty queue versus serving it first.
+
+    G leaves at slot 0 and then follows serve-if-nonempty, else move to the
+    next free location in cyclic order.  PI serves at slot 0 and replays
+    G's moves one slot late, which is always admissible: the replayed
+    serves happen away from the start location, where PI's queue leads G's
+    by that location's latest arrival.  When G first returns to the start
+    (slot tau), PI's replay is G's return switch; one slot later the two
+    states meet, and from then on both would follow the same feedback rule.
+    """
+
+    default = (2, (0,), (2, 1))
+
+    @staticmethod
+    def holds(model: ModelConfig, state: SystemState) -> bool:
+        # robot 0 must have local work to skip, a second location to visit,
+        # and an exit rate below one so it returns
+        robots, _ = state
+        free = model.num_locations - (len(robots) - 1)
+        return _Prop1B.holds(model, state) and free >= 2
+
+    def moves(self, t, g, pi):
+        loc, n = g.robots[0], len(g.queues)
+        if t == 0:
+            self.home = loc
+            self.parked = frozenset(g.robots[1:])
+        elif self.tau is None and loc == self.home:
+            self.tau = t
+        if t > 0 and g.queues[loc] > 0:
+            g_act = SERVE_ACTION
+        else:
+            # next location in cyclic order, skipping parked robots
+            j = (loc + 1) % n
+            while j in self.parked:
+                j = (j + 1) % n
+            g_act = switch_to(j)
+        pi_act = SERVE_ACTION if t == 0 else self.last
+        self.last = g_act
+        return g_act, pi_act
+
+    def met(self, t, g, pi):
+        if t != self.tau:
+            return False
+        if g != pi:
+            raise RuntimeError(
+                "paired states failed to meet at the return slot"
+            )
+        return True
+
+    @staticmethod
+    def shape(report, gap, tau, tc):
+        if gap[1] != 1:
+            yield f"slot 1: expected gap 1, got {gap[1]}"
+        for t in range(2, tau + 1):
+            if not 0 <= gap[t] <= 1:
+                yield f"slot {t}: expected gap in {{0,1}}, got {gap[t]}"
+        if gap[tc] != 0:
+            yield f"slot {tc}: expected gap 0, got {gap[tc]}"
+
+
+class _Prop1B(_Script):
+    """Idle versus serve at a nonempty queue; shared arrivals.
+
+    G skips one service at slot 0 and serves thereafter; PI serves from the
+    start.  G trails by exactly one departure until the first slot PI's
+    queue is empty while G still works, which squares them up; states are
+    equal from the next slot on.
+    """
+
+    default = (2, (0,), (3, 0))
+
+    @staticmethod
+    def holds(model: ModelConfig, state: SystemState) -> bool:
+        robots, queues = state
+        start = robots[0]
+        return queues[start] >= 1 and model.arrival_probs[start] < 1.0
+
+    def moves(self, t, g, pi):
+        return (
+            IDLE_ACTION if t == 0 else _serve_or_idle(g),
+            _serve_or_idle(pi),
+        )
+
+    def met(self, t, g, pi):
+        if g != pi:
+            return False
+        self.tau = t
+        return True
+
+    @staticmethod
+    def shape(report, gap, tau, tc):
+        for t in range(1, tau + 1):
+            if gap[t] != 1:
+                yield f"slot {t}: expected gap 1, got {gap[t]}"
+        if gap[tc] != 0:
+            yield f"slot {tc}: expected gap 0, got {gap[tc]}"
+
+
+class _Prop2(_Script):
+    """Idle at an empty location versus switching to a nonempty one.
+
+    PI consumes the draw with streams 0 and 1 swapped, so PI's robot at
+    location 1 works the same coin flips G's robot sees at location 0, just
+    with m2 extra tasks up front.  The departure gap climbs from 0 to m2,
+    one unit on each slot G sits empty while PI still works, and freezes at
+    m2 the first slot the two working queues agree; tau is that meeting.
+    """
+
+    default = (2, (0,), (0, 3))
+    swap = True
+
+    @staticmethod
+    def holds(model: ModelConfig, state: SystemState) -> bool:
+        # robot 0 idles at an empty location 0; the alternative is the
+        # nonempty, unoccupied location 1; the two streams must be
+        # exchangeable for the relabeling to preserve the law
+        robots, queues = state
+        probs = model.arrival_probs
+        return (
+            model.num_locations >= 2
+            and robots[0] == 0
+            and queues[0] == 0
+            and queues[1] >= 1
+            and 1 not in robots
+            and probs[0] == probs[1] < 1.0
+        )
+
+    def moves(self, t, g, pi):
+        if t == 0:
+            return IDLE_ACTION, switch_to(1)
+        return _serve_or_idle(g), _serve_or_idle(pi)
+
+    def met(self, t, g, pi):
+        if g.queues[0] != pi.queues[1]:
+            return False
+        self.tau = t + 1
+        return True
+
+    @staticmethod
+    def shape(report, gap, tau, tc):
+        m2 = report.initial_state.queues[1]
+        for t in range(1, tc + 1):
+            step_up = gap[t] - gap[t - 1]
+            if step_up not in (0, 1):
+                yield f"slot {t}: gap must climb by 0 or 1, got {step_up}"
+        if gap[tc] != m2 or report.terminal_gap != m2:
+            yield f"slot {tc}: expected terminal gap {m2}, got {gap[tc]}"
+
+
+class _Prop4(_Script):
+    """Switch to the shorter of two nonempty queues versus the longer.
+
+    G heads to the shorter queue (location 0), drains it, then crosses to
+    the longer one.  PI, on the swapped draw, heads to the longer queue
+    (location 1): its queue there tracks G's shorter queue plus
+    k = x_1 - x_0, so PI drains in lockstep, spends the k slots G loses to
+    its second move still serving, then crosses to location 0.  After PI's
+    crossing the two systems are equal up to swapping the labels of
+    locations 0 and 1, and the gap returns to zero having been 1 on exactly
+    the k slots tau+1 .. tau+k.
+    """
+
+    default = (3, (2,), (1, 3, 0))
+    swap = True
+
+    @staticmethod
+    def holds(model: ModelConfig, state: SystemState) -> bool:
+        # locations 0 (shorter) and 1 (longer) both nonempty and free;
+        # robot 0 watches from an empty third location
+        robots, queues = state
+        probs = model.arrival_probs
+        return (
+            model.num_locations >= 3
+            and not {0, 1} & set(robots)
+            and 0 < queues[0] < queues[1]
+            and queues[robots[0]] == 0
+            and probs[0] == probs[1] < 1.0
+        )
+
+    def moves(self, t, g, pi):
+        if t == 0:
+            self.k = g.queues[1] - g.queues[0]
+            return switch_to(0), switch_to(1)
+        # G side: drain the short queue, cross, then park.
+        if g.robots[0] != 0:
+            g_act = _serve_or_idle(g)
+        elif g.queues[0] > 0:
+            g_act = SERVE_ACTION
+        else:
+            if self.tau is not None:
+                raise RuntimeError(
+                    "short queue emptied twice before the crossing"
+                )
+            self.tau = t
+            g_act = switch_to(1)
+        # PI side: serve the long queue until tau, then exactly k catch-up
+        # serves, then cross.
+        if self.tau is None or t < self.tau + self.k:
+            if pi.queues[1] <= 0:
+                raise RuntimeError("long queue ran dry before the crossing")
+            pi_act = SERVE_ACTION
+        else:
+            pi_act = switch_to(0)
+        return g_act, pi_act
+
+    def met(self, t, g, pi):
+        if self.tau is None or t != self.tau + self.k:
+            return False
+        mirrored = SystemState(
+            tuple(_SWAP_LOC.get(loc, loc) for loc in pi.robots),
+            _swap01(pi.queues),
+        )
+        if mirrored != g:
+            raise RuntimeError(
+                "paired states failed to meet after the crossing"
+            )
+        return True
+
+    @staticmethod
+    def shape(report, gap, tau, tc):
+        x = report.initial_state.queues
+        if report.k != x[1] - x[0]:
+            yield "catch-up length disagrees with the start state"
+        for t in range(1, tau + 1):
+            if gap[t] != 0:
+                yield f"slot {t}: expected gap 0, got {gap[t]}"
+        for t in range(tau + 1, tau + report.k + 1):
+            if gap[t] != 1:
+                yield f"slot {t}: expected gap 1, got {gap[t]}"
+        if gap[tc] != 0:
+            yield f"slot {tc}: expected gap 0, got {gap[tc]}"
+
+
+_SCRIPTS: dict[str, type[_Script]] = {
+    "prop1A": _Prop1A,
+    "prop1B": _Prop1B,
+    "prop2": _Prop2,
+    "prop4": _Prop4,
+}
+SCENARIO_NAMES = tuple(_SCRIPTS)
+
+
 def make_scenario(
     name: str,
     *,
@@ -100,128 +380,78 @@ def make_scenario(
     initial_state: SystemState | None = None,
 ) -> CouplingScenario:
     """Scenario with canonical defaults; overrides are validated."""
-    defaults = {
-        "prop1A": (2, (0,), (2, 1)),
-        "prop1B": (2, (0,), (3, 0)),
-        "prop2": (2, (0,), (0, 3)),
-        "prop4": (3, (2,), (1, 3, 0)),
-    }
-    if name not in defaults:
+    if name not in _SCRIPTS:
         raise ScenarioPreconditionError("scenario precondition")
-    n, robots, queues = defaults[name]
+    n, robots, queues = _SCRIPTS[name].default
     if model is None:
         model = ModelConfig.symmetric(n, len(robots), p, discount)
     if initial_state is None:
         initial_state = SystemState(robots, queues)
-    scenario = CouplingScenario(name, model, initial_state)
-    validate_scenario(scenario)
-    return scenario
+    return CouplingScenario(name, model, initial_state)
 
 
 def validate_scenario(scenario: CouplingScenario) -> None:
     """Raise ScenarioPreconditionError unless the hypothesis holds."""
-    name = scenario.name
-    model = scenario.model
-    state = scenario.initial_state
     try:
-        validate_state(state, model)
+        validate_state(scenario.initial_state, scenario.model)
     except ValueError as exc:
         raise ScenarioPreconditionError("scenario precondition") from exc
-    if name not in SCENARIO_NAMES:
+    script = _SCRIPTS.get(scenario.name)
+    if script is None or not script.holds(
+        scenario.model, scenario.initial_state
+    ):
         raise ScenarioPreconditionError("scenario precondition")
+
+
+def _joint(state: SystemState, lead: RobotAction) -> tuple[RobotAction, ...]:
+    """Robot 0 takes lead; parked robots serve their own queue if nonempty."""
     robots, queues = state
-    start = robots[0]
-    probs = model.arrival_probs
-    parked = robots[1:]
-    if name == "prop1A":
-        # robot 0 must have local work to skip, a second location to visit,
-        # and an exit rate below one so it returns
-        if queues[start] < 1 or probs[start] >= 1.0:
-            raise ScenarioPreconditionError("scenario precondition")
-        free = model.num_locations - len(parked)
-        if free < 2:
-            raise ScenarioPreconditionError("scenario precondition")
-    elif name == "prop1B":
-        if queues[start] < 1 or probs[start] >= 1.0:
-            raise ScenarioPreconditionError("scenario precondition")
-    elif name == "prop2":
-        # robot 0 idles at an empty location 0; the alternative is the
-        # nonempty, unoccupied location 1; the two streams must be
-        # exchangeable for the relabeling to preserve the law
-        if start != 0 or queues[0] != 0 or queues[1] < 1:
-            raise ScenarioPreconditionError("scenario precondition")
-        if 1 in parked or 0 in parked:
-            raise ScenarioPreconditionError("scenario precondition")
-        if probs[0] != probs[1] or probs[0] >= 1.0:
-            raise ScenarioPreconditionError("scenario precondition")
-    elif name == "prop4":
-        # locations 0 (shorter) and 1 (longer) both nonempty and free;
-        # robot 0 watches from an empty third location
-        if model.num_locations < 3 or start in (0, 1):
-            raise ScenarioPreconditionError("scenario precondition")
-        if not 0 < queues[0] < queues[1]:
-            raise ScenarioPreconditionError("scenario precondition")
-        if queues[start] != 0:
-            raise ScenarioPreconditionError("scenario precondition")
-        if 0 in parked or 1 in parked:
-            raise ScenarioPreconditionError("scenario precondition")
-        if probs[0] != probs[1] or probs[0] >= 1.0:
-            raise ScenarioPreconditionError("scenario precondition")
-
-
-def _swap01(vec: tuple[int, ...]) -> tuple[int, ...]:
-    return (vec[1], vec[0]) + vec[2:]
-
-
-class _System:
-    """One side of a paired run: state plus cumulative departures."""
-
-    __slots__ = ("state", "dep_total")
-
-    def __init__(self, state: SystemState) -> None:
-        self.state = state
-        self.dep_total = 0
-
-    def advance(self, lead_action: RobotAction, arrivals) -> None:
-        robots, queues = self.state
-        joint = [lead_action]
-        for loc in robots[1:]:
-            joint.append(
-                SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION
-            )
-        self.state, delta = step(self.state, tuple(joint), arrivals)
-        self.dep_total += sum(delta.departures)
-
-
-def _serve_or_idle(state: SystemState) -> RobotAction:
-    return (
-        SERVE_ACTION if state.queues[state.robots[0]] > 0 else IDLE_ACTION
-    )
-
-
-def _tour_next(loc: int, num_locations: int, parked: frozenset) -> int:
-    """Next location in cyclic order, skipping permanently parked robots."""
-    j = (loc + 1) % num_locations
-    while j in parked:
-        j = (j + 1) % num_locations
-    return j
+    joint = [lead]
+    for loc in robots[1:]:
+        joint.append(SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION)
+    return tuple(joint)
 
 
 def coupled_run(
     scenario: CouplingScenario, horizon: int, seed: int
 ) -> CouplingReport:
     """Run one paired experiment; see the module docstring for semantics."""
-    validate_scenario(scenario)
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
-    runner = {
-        "prop1A": _run_prop1a,
-        "prop1B": _run_prop1b,
-        "prop2": _run_prop2,
-        "prop4": _run_prop4,
-    }[scenario.name]
+    script = _SCRIPTS[scenario.name]()
+    probs = scenario.model.arrival_probs
     rng = np.random.default_rng(seed)
-    return runner(scenario, horizon, seed, rng)
+    g = pi = scenario.initial_state
+    g_out = pi_out = 0
+    gap = [0]
+    coupling_time = None
+    for t in range(horizon):
+        g_act, pi_act = script.moves(t, g, pi)
+        arrivals = sample_arrivals(probs, rng)
+        g, delta = step(g, _joint(g, g_act), arrivals)
+        g_out += sum(delta.departures)
+        if script.swap:
+            arrivals = _swap01(arrivals)
+        pi, delta = step(pi, _joint(pi, pi_act), arrivals)
+        pi_out += sum(delta.departures)
+        _record_gap(gap, g, pi, pi_out - g_out)
+        if script.met(t, g, pi):
+            coupling_time = t + 1
+            break
+    return _finish(
+        scenario, seed, horizon, gap, script.tau, script.k, coupling_time
+    )
+
+
+def _record_gap(
+    gap: list[int], g: SystemState, pi: SystemState, departure_gap: int
+) -> None:
+    gap.append(departure_gap)
+    backlog_diff = sum(g.queues) - sum(pi.queues)
+    if backlog_diff != gap[-1]:
+        raise RuntimeError(
+            "conservation identity broken inside the coupling harness"
+        )
 
 
 def _finish(
@@ -258,206 +488,6 @@ def _finish(
     )
 
 
-def _record_gap(gap: list[int], g: _System, pi: _System) -> None:
-    gap.append(pi.dep_total - g.dep_total)
-    backlog_diff = sum(g.state.queues) - sum(pi.state.queues)
-    if backlog_diff != gap[-1]:
-        raise RuntimeError(
-            "conservation identity broken inside the coupling harness"
-        )
-
-
-def _run_prop1b(scenario, horizon, seed, rng) -> CouplingReport:
-    """Idle versus serve at a nonempty queue; shared arrivals.
-
-    G skips one service at slot 0 and serves thereafter; PI serves from the
-    start.  G trails by exactly one departure until the first slot PI's
-    queue is empty while G still works, which squares them up; states are
-    equal from the next slot on.
-    """
-    probs = scenario.model.arrival_probs
-    g = _System(scenario.initial_state)
-    pi = _System(scenario.initial_state)
-    gap = [0]
-    tau = None
-    coupling_time = None
-    for t in range(horizon):
-        g_act = IDLE_ACTION if t == 0 else _serve_or_idle(g.state)
-        pi_act = _serve_or_idle(pi.state)
-        arrivals = sample_arrivals(probs, rng)
-        g.advance(g_act, arrivals)
-        pi.advance(pi_act, arrivals)
-        _record_gap(gap, g, pi)
-        if g.state == pi.state:
-            coupling_time = t + 1
-            tau = t
-            break
-    return _finish(scenario, seed, horizon, gap, tau, None, coupling_time)
-
-
-def _run_prop1a(scenario, horizon, seed, rng) -> CouplingReport:
-    """Switch away from a nonempty queue versus serving it first.
-
-    G leaves at slot 0 and then follows serve-if-nonempty, else move to the
-    next free location in cyclic order.  PI serves at slot 0 and replays
-    G's recorded moves one slot late, which is always admissible: the
-    replayed serves happen away from the start location, where PI's queue
-    leads G's by that location's latest arrival.  When G first returns to
-    the start (slot tau), PI's replay is G's return switch; one slot later
-    the two states meet and both sides follow the same feedback rule.
-    """
-    model = scenario.model
-    probs = model.arrival_probs
-    start = scenario.initial_state.robots[0]
-    parked = frozenset(scenario.initial_state.robots[1:])
-    g = _System(scenario.initial_state)
-    pi = _System(scenario.initial_state)
-    gap = [0]
-    tau = None
-    coupling_time = None
-    g_history: list[RobotAction] = []
-
-    def feedback(state: SystemState) -> RobotAction:
-        loc = state.robots[0]
-        if state.queues[loc] > 0:
-            return SERVE_ACTION
-        return switch_to(_tour_next(loc, model.num_locations, parked))
-
-    for t in range(horizon):
-        if tau is None and t >= 1 and g.state.robots[0] == start:
-            tau = t
-        if t == 0:
-            g_act = switch_to(
-                _tour_next(start, model.num_locations, parked)
-            )
-        else:
-            g_act = feedback(g.state)
-        if t == 0:
-            pi_act = SERVE_ACTION
-        elif tau is None or t <= tau:
-            pi_act = g_history[t - 1]
-        else:
-            pi_act = feedback(pi.state)
-        g_history.append(g_act)
-        arrivals = sample_arrivals(probs, rng)
-        g.advance(g_act, arrivals)
-        pi.advance(pi_act, arrivals)
-        _record_gap(gap, g, pi)
-        if tau is not None and t == tau:
-            if g.state != pi.state:
-                raise RuntimeError(
-                    "paired states failed to meet at the return slot"
-                )
-            coupling_time = t + 1
-            break
-    return _finish(scenario, seed, horizon, gap, tau, None, coupling_time)
-
-
-def _run_prop2(scenario, horizon, seed, rng) -> CouplingReport:
-    """Idle at an empty location versus switching to a nonempty one.
-
-    PI consumes the draw with streams 0 and 1 swapped, so PI's robot at
-    location 1 works the same coin flips G's robot sees at location 0, just
-    with m2 extra tasks up front.  The departure gap climbs from 0 to m2,
-    one unit on each slot G sits empty while PI still works, and freezes at
-    m2 the first slot the two working queues agree.
-    """
-    probs = scenario.model.arrival_probs
-    m2 = scenario.initial_state.queues[1]
-    g = _System(scenario.initial_state)
-    pi = _System(scenario.initial_state)
-    gap = [0]
-    coupling_time = None
-    for t in range(horizon):
-        g_act = IDLE_ACTION if t == 0 else _serve_or_idle(g.state)
-        pi_act = switch_to(1) if t == 0 else _serve_or_idle(pi.state)
-        arrivals = sample_arrivals(probs, rng)
-        g.advance(g_act, arrivals)
-        pi.advance(pi_act, _swap01(arrivals))
-        _record_gap(gap, g, pi)
-        if g.state.queues[0] == pi.state.queues[1]:
-            coupling_time = t + 1
-            break
-    tau = coupling_time
-    return _finish(scenario, seed, horizon, gap, tau, None, coupling_time)
-
-
-def _run_prop4(scenario, horizon, seed, rng) -> CouplingReport:
-    """Switch to the shorter of two nonempty queues versus the longer.
-
-    G heads to the shorter queue (location 0), drains it, then crosses to
-    the longer one.  PI, on the swapped draw, heads to the longer queue
-    (location 1): its queue there tracks G's shorter queue plus
-    k = x_1 - x_0, so PI drains in lockstep, spends the k slots G loses to
-    its second move still serving, then crosses to location 0.  After PI's
-    crossing the two systems are equal up to swapping the labels of
-    locations 0 and 1, and the gap returns to zero having been 1 on exactly
-    the k slots tau+1 .. tau+k.
-    """
-    model = scenario.model
-    probs = model.arrival_probs
-    queues0 = scenario.initial_state.queues
-    k = queues0[1] - queues0[0]
-    g = _System(scenario.initial_state)
-    pi = _System(scenario.initial_state)
-    gap = [0]
-    tau = None
-    catch_up_left = k
-    coupling_time = None
-    for t in range(horizon):
-        # G side: travel, drain the short queue, cross, then park.
-        g_loc = g.state.robots[0]
-        if t == 0:
-            g_act = switch_to(0)
-        elif g_loc == 0:
-            if g.state.queues[0] > 0:
-                g_act = SERVE_ACTION
-            else:
-                if tau is not None:
-                    raise RuntimeError(
-                        "short queue emptied twice before the crossing"
-                    )
-                tau = t
-                g_act = switch_to(1)
-        else:
-            g_act = _serve_or_idle(g.state)
-        # PI side: travel, serve the long queue until tau, then exactly k
-        # catch-up serves, then cross and park.
-        if t == 0:
-            pi_act = switch_to(1)
-        elif tau is None or (t >= tau and catch_up_left > 0):
-            if pi.state.queues[1] <= 0:
-                raise RuntimeError("long queue ran dry before the crossing")
-            pi_act = SERVE_ACTION
-            if tau is not None:
-                catch_up_left -= 1
-        elif t == tau + k:
-            pi_act = switch_to(0)
-        else:
-            pi_act = _serve_or_idle(pi.state)
-        arrivals = sample_arrivals(probs, rng)
-        g.advance(g_act, arrivals)
-        pi.advance(pi_act, _swap01(arrivals))
-        _record_gap(gap, g, pi)
-        if tau is not None and t == tau + k:
-            mirrored = SystemState(
-                tuple(
-                    _SWAP_LOC.get(loc, loc) for loc in pi.state.robots
-                ),
-                _swap01(pi.state.queues),
-            )
-            if mirrored != g.state:
-                raise RuntimeError(
-                    "paired states failed to meet after the crossing"
-                )
-            coupling_time = t + 1
-            break
-    return _finish(scenario, seed, horizon, gap, tau, k, coupling_time)
-
-
-_SWAP_LOC = {0: 1, 1: 0}
-
-
 def check_gap_pattern(report: CouplingReport) -> list[str]:
     """Compare a report's gap sequence against its scenario's exact shape.
 
@@ -465,54 +495,16 @@ def check_gap_pattern(report: CouplingReport) -> list[str]:
     Runs that never coupled within their horizon are flagged rather than
     judged on the truncated pattern.
     """
-    problems: list[str] = []
     if not report.coupled:
         return [f"{report.scenario}: run did not couple within the horizon"]
-    gap = report.gap
-    tau = report.tau
-    tc = report.coupling_time
-    if gap[0] != 0:
-        problems.append("gap must start at 0")
-    if report.scenario == "prop1B":
-        for t in range(1, tau + 1):
-            if gap[t] != 1:
-                problems.append(f"slot {t}: expected gap 1, got {gap[t]}")
-        if gap[tc] != 0:
-            problems.append(f"slot {tc}: expected gap 0, got {gap[tc]}")
-    elif report.scenario == "prop1A":
-        if gap[1] != 1:
-            problems.append(f"slot 1: expected gap 1, got {gap[1]}")
-        for t in range(2, tau + 1):
-            if not 0 <= gap[t] <= 1:
-                problems.append(
-                    f"slot {t}: expected gap in {{0,1}}, got {gap[t]}"
-                )
-        if gap[tc] != 0:
-            problems.append(f"slot {tc}: expected gap 0, got {gap[tc]}")
-    elif report.scenario == "prop2":
-        m2 = report.initial_state.queues[1]
-        for t in range(1, tc + 1):
-            step_up = gap[t] - gap[t - 1]
-            if step_up not in (0, 1):
-                problems.append(
-                    f"slot {t}: gap must climb by 0 or 1, got {step_up}"
-                )
-        if gap[tc] != m2 or report.terminal_gap != m2:
-            problems.append(
-                f"slot {tc}: expected terminal gap {m2}, got {gap[tc]}"
-            )
-    elif report.scenario == "prop4":
-        x = report.initial_state.queues
-        if report.k != x[1] - x[0]:
-            problems.append("catch-up length disagrees with the start state")
-        for t in range(1, tau + 1):
-            if gap[t] != 0:
-                problems.append(f"slot {t}: expected gap 0, got {gap[t]}")
-        for t in range(tau + 1, tau + report.k + 1):
-            if gap[t] != 1:
-                problems.append(f"slot {t}: expected gap 1, got {gap[t]}")
-        if gap[tc] != 0:
-            problems.append(f"slot {tc}: expected gap 0, got {gap[tc]}")
-    else:
+    problems = [] if report.gap[0] == 0 else ["gap must start at 0"]
+    script = _SCRIPTS.get(report.scenario)
+    if script is None:
         problems.append(f"unknown scenario {report.scenario!r}")
+    else:
+        problems.extend(
+            script.shape(
+                report, report.gap, report.tau, report.coupling_time
+            )
+        )
     return problems

@@ -1,9 +1,13 @@
 """Paired-run scenarios: preconditions, exact gap shapes, closed-form diffs."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 import eslsim.coupling
 from eslsim import (
+    CouplingScenario,
     ModelConfig,
     SCENARIO_NAMES,
     ScenarioPreconditionError,
@@ -39,6 +43,19 @@ def test_unknown_scenario_rejected():
 def test_bad_start_states_rejected(name, robots, queues):
     with pytest.raises(ScenarioPreconditionError, match="scenario precondition"):
         make_scenario(name, initial_state=SystemState(robots, queues))
+
+
+@pytest.mark.parametrize(
+    "n,robots,queues",
+    [
+        (2, (0,), (1, 3)),  # deviator's own location must be empty
+        (1, (0,), (0,)),    # there is no location 1 to switch to
+    ],
+)
+def test_scenarios_are_validated_when_made(n, robots, queues):
+    model = ModelConfig.symmetric(n, 1, 0.1, 0.9)
+    with pytest.raises(ScenarioPreconditionError, match="precondition"):
+        CouplingScenario("prop2", model, SystemState(robots, queues))
 
 
 def test_mirror_scenarios_need_exchangeable_streams():
@@ -168,3 +185,104 @@ def test_bystander_robots_do_not_disturb_patterns():
             report = coupled_run(scenario, horizon=1500, seed=seed)
             assert report.coupled
             assert check_gap_pattern(report) == []
+
+
+# Seed 0 of each default scenario gives these gaps:
+#   prop1A (0, 1, 0, 0, 1, 0)     tau 4, coupled at 5
+#   prop1B (0, 1, 1, 1, 1, 0)     tau 4, coupled at 5
+#   prop2  (0, 0, 1, 1, 2, 3)     coupled at 5, terminal gap 3
+#   prop4  (0, 0, 0, 0, 1, 1, 0)  tau 3, k 2, coupled at 6
+@pytest.mark.parametrize(
+    "name,gap_edits,field_edits,expected",
+    [
+        ("prop1A", {0: 1}, {}, ["gap must start at 0"]),
+        ("prop1A", {1: 0}, {}, ["slot 1: expected gap 1, got 0"]),
+        ("prop1A", {3: 2}, {}, ["slot 3: expected gap in {0,1}, got 2"]),
+        ("prop1A", {5: 1}, {}, ["slot 5: expected gap 0, got 1"]),
+        ("prop1B", {0: 7}, {}, ["gap must start at 0"]),
+        ("prop1B", {2: 0}, {}, ["slot 2: expected gap 1, got 0"]),
+        ("prop1B", {5: 1}, {}, ["slot 5: expected gap 0, got 1"]),
+        ("prop2", {0: -1}, {}, ["gap must start at 0"]),
+        (
+            "prop2",
+            {3: 3},
+            {},
+            [
+                "slot 3: gap must climb by 0 or 1, got 2",
+                "slot 4: gap must climb by 0 or 1, got -1",
+            ],
+        ),
+        (
+            "prop2",
+            {5: 2},
+            {"terminal_gap": 2},
+            ["slot 5: expected terminal gap 3, got 2"],
+        ),
+        ("prop4", {0: 1}, {}, ["gap must start at 0"]),
+        (
+            "prop4",
+            {},
+            {"k": 3},
+            [
+                "catch-up length disagrees with the start state",
+                "slot 6: expected gap 1, got 0",
+            ],
+        ),
+        ("prop4", {2: 1}, {}, ["slot 2: expected gap 0, got 1"]),
+        ("prop4", {5: 0}, {}, ["slot 5: expected gap 1, got 0"]),
+        ("prop4", {6: 1}, {}, ["slot 6: expected gap 0, got 1"]),
+        ("prop4", {}, {"scenario": "prop9"}, ["unknown scenario 'prop9'"]),
+    ],
+)
+def test_corrupted_gap_phases_are_named(
+    name, gap_edits, field_edits, expected
+):
+    report = coupled_run(make_scenario(name), horizon=2000, seed=0)
+    assert check_gap_pattern(report) == []
+    gap = list(report.gap)
+    for t, value in gap_edits.items():
+        assert gap[t] != value
+        gap[t] = value
+    bad = dataclasses.replace(report, gap=tuple(gap), **field_edits)
+    assert check_gap_pattern(bad) == expected
+
+
+def _step_moving_one_task(call, src, dst):
+    """A step that, on its call-th use, moves one waiting task from src to
+    dst in the next state.  Queue totals and departures are untouched, so
+    the conservation identity still holds but the paired paths no longer
+    meet.  Each slot steps G first and PI second: calls 2t and 2t + 1."""
+    real_step = eslsim.coupling.step
+    calls = itertools.count()
+
+    def moving_step(state, joint, arrivals):
+        next_state, delta = real_step(state, joint, arrivals)
+        if next(calls) == call and next_state.queues[src] > 0:
+            queues = list(next_state.queues)
+            queues[src] -= 1
+            queues[dst] += 1
+            next_state = next_state._replace(queues=tuple(queues))
+        return next_state, delta
+
+    return moving_step
+
+
+@pytest.mark.parametrize(
+    "name,call,src,dst,message",
+    [
+        # PI's side at slot 0
+        ("prop1A", 1, 0, 1, "failed to meet at the return slot"),
+        # G's side at slot 1
+        ("prop4", 2, 1, 2, "failed to meet after the crossing"),
+    ],
+)
+def test_displaced_task_breaks_the_meeting_check(
+    name, call, src, dst, message, monkeypatch
+):
+    scenario = make_scenario(name)
+    for seed in range(40):
+        monkeypatch.setattr(
+            eslsim.coupling, "step", _step_moving_one_task(call, src, dst)
+        )
+        with pytest.raises(RuntimeError, match=message):
+            coupled_run(scenario, horizon=2000, seed=seed)

@@ -3,7 +3,7 @@ show that the tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
-there, runs tests/test_mdp.py and tests/test_coupling.py against the
+there, runs the tests in TESTS against the
 copy, and reports the mutant killed (the tests fail) or survived (they
 pass).  An unmutated copy runs first and must pass, so that a broken
 suite cannot count as killing every mutant.  The working tree is never
@@ -24,7 +24,9 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-TESTS = ["tests/test_mdp.py", "tests/test_coupling.py"]
+# the fast coupling tests first, so that -x stops a coupling mutant early
+TESTS = ["tests/test_coupling.py", "tests/test_coupling_pin.py",
+         "tests/test_mdp.py"]
 
 # (name, file under the repo, text to replace, replacement)
 MUTANTS = [
@@ -55,6 +57,48 @@ MUTANTS = [
         "src/eslsim/coupling.py",
         "if backlog_diff != gap[-1]:",
         "if False:",
+    ),
+    (
+        "coupling: PI reads the unswapped draw",
+        "src/eslsim/coupling.py",
+        "if script.swap:",
+        "if False:",
+    ),
+    (
+        "coupling: prop1A never checks the meeting at the return slot",
+        "src/eslsim/coupling.py",
+        "if g != pi:\n            raise",
+        "if False:\n            raise",
+    ),
+    (
+        "coupling: prop4 never checks the meeting after the crossing",
+        "src/eslsim/coupling.py",
+        "if mirrored != g:",
+        "if False:",
+    ),
+    (
+        "coupling: scenarios are not validated when made",
+        "src/eslsim/coupling.py",
+        "def __post_init__(self) -> None:\n        validate_scenario(self)",
+        "def __post_init__(self) -> None:\n        pass",
+    ),
+    (
+        "coupling: the geometric tail divides before it scales",
+        "src/eslsim/coupling.py",
+        "diff += beta**coupling_time * terminal / (1.0 - beta)",
+        "diff += beta**coupling_time * (terminal / (1.0 - beta))",
+    ),
+    (
+        "check_gap_pattern skips prop2's terminal gap",
+        "src/eslsim/coupling.py",
+        "if gap[tc] != m2 or report.terminal_gap != m2:",
+        "if False:",
+    ),
+    (
+        "check_gap_pattern skips prop4's catch-up slots",
+        "src/eslsim/coupling.py",
+        "for t in range(tau + 1, tau + report.k + 1):",
+        "for t in ():",
     ),
 ]
 
