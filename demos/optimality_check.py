@@ -9,6 +9,7 @@ from eslsim import (
     SystemState,
     build_truncated_mdp,
     check_esl_optimality,
+    count_states,
     q_values,
     switch_to_shortest_decide,
     value_iteration,
@@ -18,8 +19,9 @@ from eslsim import (
 model = ModelConfig.symmetric(2, 1, 0.3, 0.9)
 mdp = build_truncated_mdp(model, cap=6)
 table = value_iteration(mdp, tol=1e-10)
-print(f"solved {len(table.values)} states in {table.iterations} sweeps, "
-      f"certified error bound {table.error_bound:.2e}")
+print(f"solved {len(table.values)} location orbits (for "
+      f"{count_states(model, mdp.cap)} ordered states) in {table.iterations} "
+      f"sweeps, certified error bound {table.error_bound:.2e}")
 
 # Q-values at one state: robot at an empty location 0, work piling at 1.
 state = SystemState((0,), (0, 4))

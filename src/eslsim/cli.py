@@ -50,7 +50,10 @@ from .mdp import (
     StateSpaceTooLargeError,
     build_truncated_mdp,
     check_esl_optimality,
+    count_audit_pairs,
+    count_orbits,
     count_states,
+    min_tolerance,
     monotonicity_violations,
     value_iteration,
 )
@@ -83,10 +86,9 @@ CHECK_RULES = {
     "esl": esl_decide,
     "switch-shortest": switch_to_shortest_decide,
 }
-# The audit reads every feasible joint action at every interior state;
-# verify refuses instances past these sizes.
-AUDIT_MAX_LOCATIONS = 4
-AUDIT_MAX_ROBOTS = 3
+# The audit reads every feasible joint action at every ordered interior
+# state; verify refuses instances where those pairs number more than this.
+AUDIT_BUDGET = 20_000_000
 
 
 class ConfigError(Exception):
@@ -437,7 +439,8 @@ def _violation_record(violation) -> dict:
 def read_verify(cfg: dict, path: str) -> tuple[dict, list[ModelConfig]]:
     """The verify settings of cfg, checked by the VERIFY table and the
     cross-key rules before anything is solved, with each instance's model.
-    An instance over the state budget raises StateSpaceTooLargeError."""
+    An instance with more solver states (orbits) than the state budget
+    raises StateSpaceTooLargeError."""
     ver = _read(cfg, VERIFY, path)
     models = []
     if not ver["instances"] and not ver["coupling"]["scenarios"]:
@@ -452,13 +455,23 @@ def read_verify(cfg: dict, path: str) -> tuple[dict, list[ModelConfig]]:
             raise ConfigError(f"{key}.robots: must be at most locations ({n})")
         if inst["margin"] >= cap:
             raise ConfigError(f"{key}.margin: must satisfy 1 <= margin < cap")
-        models.append(ModelConfig.symmetric(n, m, inst["p"], inst["beta"]))
-        if count_states(models[-1], cap) > DEFAULT_STATE_BUDGET:
+        model = ModelConfig.symmetric(n, m, inst["p"], inst["beta"])
+        models.append(model)
+        if count_orbits(model, cap) > DEFAULT_STATE_BUDGET:
             raise StateSpaceTooLargeError(f"{key}: state space too large")
-        if n > AUDIT_MAX_LOCATIONS or m > AUDIT_MAX_ROBOTS:
+        pairs = count_audit_pairs(model, cap, inst["margin"])
+        if pairs > AUDIT_BUDGET:
             raise ConfigError(
-                f"{key}: instance exceeds the joint-action enumeration caps "
-                f"({AUDIT_MAX_LOCATIONS} locations, {AUDIT_MAX_ROBOTS} robots)"
+                f"{key}: instance exceeds the joint-action enumeration "
+                f"budget: the audit would read {pairs:,} interior "
+                f"state-actions, more than {AUDIT_BUDGET:,}"
+            )
+        floor = min_tolerance(model, cap)
+        if inst["tol"] <= floor:
+            raise ConfigError(
+                f"{key}.tol: {inst['tol']:.3g} is at or below this "
+                f"instance's float rounding floor {floor:.3g}; value "
+                "iteration cannot certify it"
             )
     return ver, models
 
@@ -493,6 +506,7 @@ def cmd_verify(args) -> int:
                 "p": _round6(inst["p"]),
                 "rule": rule_name,
                 "states": count_states(model, inst["cap"]),
+                "solver_states": len(mdp.states),
                 "interior_max_queue": inst["cap"] - inst["margin"],
                 "transitions": int(mdp.tr_next.size),
                 "iterations": table.iterations,

@@ -1,22 +1,34 @@
-"""Exact solver on a truncated copy of the allocation problem.
+"""Exact solver on a truncated copy of the allocation problem, one state per
+location orbit.
 
 Queues are capped at C tasks; an arrival to a full queue is discarded, with
 its probability mass folded into the no-arrival branch, which keeps every
-transition row stochastic.  Every state and feasible joint action is kept.
-Arrivals land after service and travel, so a state-action's next-state
-distribution depends only on its post-service state: the kernel stores one
-arrival row per post-service state, and each state-action points at its
-row.  It is built with numpy from action templates and arrival patterns,
-with no Python loop per state-action or transition (tests/scalar_mdp.py
-keeps the state-by-state builder of the explicit per-state-action kernel
-as the oracle it must match byte for byte once expanded).  Value iteration
-stops on MacQueen's bounds, which certify the error of the values it
-returns.  q_table computes every state-action's Q in one pass; the sweep
-takes each state's minimum over it, and the optimality checker reads the
-same table to compare the serve-longest rule against every single-robot
-deviation.  Conclusions are read only at interior states (all queues at
-least `margin` below the cap) so boundary distortion from dropped
-arrivals cannot leak in.
+transition row stochastic.  Robots are identical and every switch takes one
+slot, so relabelling locations that share an arrival rate maps the capped
+problem onto itself, and V* is constant on the orbits of those relabellings
+(model minimization: Givan, Dean & Greig, "Equivalence notions and model
+minimization in Markov decision processes", AIJ 147, 2003).  For each class
+of equal rate, an orbit records the sorted queues at the class's occupied
+locations and the sorted queues at its unoccupied ones.  With one rate that
+is (sorted occupied | sorted unoccupied): (4, 2, cap 5) has 441 orbits
+against 15,552 ordered states.  With all rates distinct it is an occupied
+set and a queue vector.  The solver stores one state per orbit.
+
+Arrivals land after service and travel, so a Q-value depends on the action
+only through the post-service orbit.  Each orbit keeps one action per
+post-service orbit it can reach, and each orbit owns one arrival row: the
+arrival patterns, canonicalised, with duplicate next orbits merged, so that
+W[post] = E[V(next)] and a sweep takes each orbit's minimum of
+cost + beta * W[post].  Value iteration stops on MacQueen's bounds, which
+certify the error of the values it returns.
+
+Ordered states are read through orbit_id (an ordered state's orbit) and
+lift (an orbit table on the ordered placement x queue-digit grid).
+tests/scalar_mdp.py keeps the explicit kernel over ordered states as the
+oracle: lifted values and Q-values match it within 1e-12.  The optimality
+audit walks the ordered interior (all queues at least `margin` below the
+cap, so boundary distortion from dropped arrivals cannot leak in) and reads
+each joint action's Q as cost + beta * W[orbit(post)].
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    IDLE,
     IDLE_ACTION,
     SERVE,
     SWITCH,
@@ -40,6 +53,8 @@ from .model import (
 from .policies import esl_decide
 
 DEFAULT_STATE_BUDGET = 5_000_000
+# rows x fan-out of one numpy pass in the builder, bounding its temporaries
+_CHUNK = 1 << 18
 
 
 class StateSpaceTooLargeError(RuntimeError):
@@ -51,40 +66,78 @@ class ConvergenceError(RuntimeError):
     the tolerance."""
 
 
-@dataclass(frozen=True)
-class TruncatedMdp:
-    """Flattened enumeration of the capped problem.
+@dataclass(frozen=True, eq=False)
+class OrbitIndex:
+    """Canonical form and rank of ordered states.
 
-    states[i] owns actions[sa_offsets[i]:sa_offsets[i+1]] in the
-    state-action axis.  sa_cost[k] is the stage cost of the owning state
-    (cost does not depend on the action), and sa_post[k] is the id of the
-    post-service state, after service, travel and the forced arrivals of
-    p = 1.  Post-service states share the ids of states.  Post-service
-    state j owns the arrival row tr_offsets[j]:tr_offsets[j+1] in
-    (tr_next, tr_prob), so state-action k moves to tr_next[a:b] with
-    probabilities tr_prob[a:b], where a, b bound the row of sa_post[k].
+    A location's key is its queue length, plus cap + 1 where no robot
+    stands.  Sorting the keys within each rate class lists the class's
+    occupied locations first, each part in ascending queue order: that is
+    the orbit's canonical representative.  Its code has one mixed-radix
+    digit per class, the colex rank of the class's sorted keys read as a
+    multiset; codes holds every orbit's code in ascending order, so an
+    orbit's id is the rank of its code.
+    """
+
+    radix: int
+    classes: tuple[list[int], ...]
+    weights: tuple[int, ...]
+    binom: np.ndarray
+    codes: np.ndarray
+
+    def rank(self, keys: np.ndarray) -> np.ndarray:
+        """Codes of the orbits of the key vectors along keys' last axis."""
+        code = np.zeros(keys.shape[:-1], dtype=np.int64)
+        for cols, weight in zip(self.classes, self.weights):
+            part = np.sort(keys[..., cols], axis=-1)
+            for j in range(len(cols)):
+                code += weight * self.binom[part[..., j] + j, j + 1]
+        return code
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """Orbit ids of the key vectors along keys' last axis."""
+        code = self.rank(keys)
+        ids = np.searchsorted(self.codes, code)
+        found = self.codes[np.minimum(ids, len(self.codes) - 1)] == code
+        if not found.all():
+            raise RuntimeError("kernel points outside the state space")
+        return ids
+
+
+@dataclass(frozen=True, eq=False)
+class TruncatedMdp:
+    """The capped problem on location orbits.
+
+    states[s] is orbit s's canonical representative as location keys
+    (OrbitIndex): the queue length, plus cap + 1 where no robot stands.
+    Orbit s owns actions[sa_offsets[s]:sa_offsets[s+1]], one per distinct
+    post-service orbit it can reach, in post order.  actions[k] holds two
+    location bitmasks on the representative, where robots serve and where
+    they end the slot; sa_post[k] is the post-service orbit, after service
+    and travel; sa_cost[k] is the owning orbit's stage cost.  Orbit j owns
+    the arrival row tr_offsets[j]:tr_offsets[j+1] in (tr_next, tr_prob):
+    each next orbit once, with the summed probability of the arrival
+    patterns that reach it.  tr_terms is the most nonzero pattern
+    probabilities summed into one entry.
     """
 
     config: ModelConfig
     cap: int
-    states: tuple[SystemState, ...]
-    index: dict
-    actions: tuple[JointAction, ...]
+    states: np.ndarray
+    actions: np.ndarray
     sa_offsets: np.ndarray
     sa_cost: np.ndarray
     sa_post: np.ndarray
     tr_offsets: np.ndarray
     tr_next: np.ndarray
     tr_prob: np.ndarray
-
-    def state_actions(self, state_id: int) -> tuple[JointAction, ...]:
-        lo, hi = self.sa_offsets[state_id], self.sa_offsets[state_id + 1]
-        return self.actions[lo:hi]
+    tr_terms: int
+    orbits: OrbitIndex
 
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Converged values plus the iteration trail.
+    """Converged values, one per orbit, plus the iteration trail.
 
     residual is the sup-norm of the last sweep's change; error_bound
     bounds |values - V*| at every state, V* the capped model's fixed point.
@@ -98,8 +151,145 @@ class ValueTable:
 
 
 def count_states(config: ModelConfig, cap: int) -> int:
+    """Ordered states: placements times queue vectors."""
     placements = math.perm(config.num_locations, config.num_robots)
     return placements * (cap + 1) ** config.num_locations
+
+
+def _rate_classes(config: ModelConfig) -> tuple[list[int], ...]:
+    """Locations grouped by arrival rate, each class in location order and
+    the classes in order of their first location."""
+    classes: dict[float, list[int]] = {}
+    for loc, p in enumerate(config.arrival_probs):
+        classes.setdefault(p, []).append(loc)
+    return tuple(classes.values())
+
+
+def _splits(classes, m: int):
+    """Every way to spread m robots over the rate classes: robots per class."""
+    return [
+        split
+        for split in itertools.product(*(range(len(c) + 1) for c in classes))
+        if sum(split) == m
+    ]
+
+
+def count_orbits(config: ModelConfig, cap: int) -> int:
+    """Solver states: for each split of the robots over the rate classes,
+    the product over classes of C(cap + k, k) * C(cap + n - k, n - k),
+    the sorted queues at a class's k occupied and n - k unoccupied
+    locations."""
+    classes = _rate_classes(config)
+    return sum(
+        math.prod(
+            math.comb(cap + k, k) * math.comb(cap + len(c) - k, len(c) - k)
+            for c, k in zip(classes, split)
+        )
+        for split in _splits(classes, config.num_robots)
+    )
+
+
+def count_audit_pairs(config: ModelConfig, cap: int, margin: int) -> int:
+    """Ordered interior states times their feasible joint actions: the
+    Q-values check_esl_optimality reads at this margin.
+
+    A joint's robots either stay (serve or idle where tasks wait, idle
+    where none do) or move to distinct locations other than their own and
+    the stayers'; the count of such moves of k robots into a locations
+    is an inclusion-exclusion over the robots sent home.
+    """
+    n, m = config.num_locations, config.num_robots
+    top = cap - margin
+
+    def moves(k: int, a: int) -> int:
+        return sum(
+            (-1) ** j * math.comb(k, j) * math.perm(a - j, k - j)
+            for j in range(k + 1)
+        )
+
+    pairs = 0
+    for held in range(m + 1):  # robots on nonempty queues
+        joints = sum(
+            math.comb(held, s) * 2**s * math.comb(m - held, e)
+            * moves(m - s - e, n - s - e)
+            for s in range(held + 1)
+            for e in range(m - held + 1)
+        )
+        pairs += math.comb(m, held) * top**held * joints
+    return math.perm(n, m) * (top + 1) ** (n - m) * pairs
+
+
+def _digits(base: int, n: int) -> np.ndarray:
+    """Every length-n digit vector in itertools.product order."""
+    return np.indices((base,) * n).reshape(n, -1).T
+
+
+def _orbit_index(
+    config: ModelConfig, cap: int
+) -> tuple[OrbitIndex, np.ndarray]:
+    """The index and every orbit's canonical keys, in id order.
+
+    Orbits are enumerated per split of the robots over the rate classes:
+    in each class, every sorted tuple of occupied queues
+    (combinations_with_replacement) with every sorted tuple of unoccupied
+    ones, crossed over the classes.
+    """
+    n, m, radix = config.num_locations, config.num_robots, cap + 1
+    classes = _rate_classes(config)
+    sizes = [math.comb(2 * radix + len(c) - 1, len(c)) for c in classes]
+    if math.prod(sizes) >= 1 << 62:
+        raise StateSpaceTooLargeError("state space too large")
+    weights = tuple(math.prod(sizes[:i]) for i in range(len(classes)))
+    binom = np.array(
+        [[math.comb(x, j) for j in range(n + 1)]
+         for x in range(2 * radix + n)],
+        dtype=np.int64,
+    )
+    blocks = []
+    for split in _splits(classes, m):
+        keys = np.zeros((1, n), dtype=np.int64)
+        for cols, k in zip(classes, split):
+            occ = list(itertools.combinations_with_replacement(
+                range(radix), k))
+            free = list(itertools.combinations_with_replacement(
+                range(radix, 2 * radix), len(cols) - k))
+            part = np.array(
+                [a + b for a in occ for b in free], dtype=np.int64
+            ).reshape(len(occ) * len(free), len(cols))
+            keys = np.repeat(keys, len(part), axis=0)
+            keys[:, cols] = np.tile(part, (len(keys) // len(part), 1))
+        blocks.append(keys)
+    keys = np.concatenate(blocks)
+    index = OrbitIndex(radix, classes, weights, binom, np.empty(0, np.int64))
+    codes = index.rank(keys)
+    order = np.argsort(codes)
+    index = OrbitIndex(radix, classes, weights, binom, codes[order])
+    return index, keys[order]
+
+
+def _templates(occupied: list[int], n: int):
+    """Served counts (T, n), end flags (T, n) and their bitmasks for every
+    serve / idle / leave choice of the robots on `occupied`, the leavers
+    going to each set of unoccupied locations."""
+    free = [loc for loc in range(n) if loc not in occupied]
+    served, ends = [], []
+    menu = (SERVE, IDLE, SWITCH)
+    for kinds in itertools.product(menu, repeat=len(occupied)):
+        stay = [loc for loc, k in zip(occupied, kinds) if k != SWITCH]
+        serve = [loc for loc, k in zip(occupied, kinds) if k == SERVE]
+        for dests in itertools.combinations(free, len(occupied) - len(stay)):
+            served.append([loc in serve for loc in range(n)])
+            ends.append([loc in stay or loc in dests for loc in range(n)])
+    served = np.array(served, dtype=np.int64).reshape(-1, n)
+    ends = np.array(ends, dtype=bool).reshape(-1, n)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    return served, ends, served @ bits, ends @ bits
+
+
+def _chunks(count: int, fan: int):
+    """Slices of range(count), each row fanning out to `fan` entries."""
+    step = max(1, _CHUNK // max(fan, 1))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def build_truncated_mdp(
@@ -107,152 +297,192 @@ def build_truncated_mdp(
     cap: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> TruncatedMdp:
-    """Enumerate states, feasible joint actions and the transition kernel.
+    """Enumerate orbits, their actions and their arrival rows.
 
-    A state's id is its placement's id (itertools.permutations order)
-    times (cap+1)^N plus its queues read as base-(cap+1) digits, location 0
-    most significant.  A state's feasible joint actions depend only on its
-    placement and on which robot-held queues are nonempty, so
-    iter_joint_actions runs once per such template, whose rows keep the
-    joint, next placement and served locations.  Each state-action gets
-    its post-service state id, sa_post, with the forced arrivals of p = 1.
-    Every id then owns one arrival row, in id order, whose branch code is
-    read from the id's queue digits: bit i is set when location i is below
-    the cap with 0 < p_i < 1.  The rows are written one branch code at a
-    time, arrival patterns in itertools.product order ("no arrival"
-    first), each probability multiplied left to right from 1.0, so a
-    state-action's row holds what its explicit row held.
+    Actions: a canonical representative's occupied locations depend only
+    on how many robots each rate class holds, so one set of templates
+    serves all orbits with that occupancy.  A template lets each robot
+    serve, idle or leave, and sends the leavers to a set of unoccupied
+    locations.  Applied to the orbits as arrays, feasible where every
+    served queue is nonempty and canonicalised, it yields (orbit, post)
+    pairs, of which the unique ones are kept.  These cover every ordered
+    joint action: a joint is fixed, up to its post-service state, by where
+    robots serve and where they end, and swaps or cycles among occupied
+    locations only give up service.
+
+    Arrivals: from each orbit's representative, every pattern of arrivals
+    at the locations with 0 < p < 1, in itertools.product order ("no
+    arrival" first), adds one task below the cap, as p = 1 always does.
+    A pattern's probability is multiplied left to right from 1.0, the
+    factor being 0 where it would add a task at the cap.  The next states
+    are canonicalised and each row's duplicate next orbits merged by
+    summing their probabilities.
 
     Raises StateSpaceTooLargeError before allocating anything when the
-    count of placements times queue vectors exceeds the budget, and
-    RuntimeError if a next-state id falls outside the state space.
+    orbit count exceeds the budget, and RuntimeError if a next state's
+    orbit is not in the index.
     """
     if cap < 1:
         raise ValueError("queue cap must be at least 1")
-    if count_states(config, cap) > state_budget:
+    if count_orbits(config, cap) > state_budget:
         raise StateSpaceTooLargeError("state space too large")
-    n, m = config.num_locations, config.num_robots
+    n, radix = config.num_locations, cap + 1
     probs = config.arrival_probs
-    placements = list(itertools.permutations(range(n), m))
-    queue_vectors = list(itertools.product(range(cap + 1), repeat=n))
-    states = tuple(
-        SystemState(placement, queues)
-        for placement in placements
-        for queues in queue_vectors
-    )
-    width = len(queue_vectors)
-    weight = (cap + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    queue_mat = np.array(queue_vectors, dtype=np.int64)
+    index, keys = _orbit_index(config, cap)
+    size = len(keys)
+    queues = keys % radix
+    occupied = keys < radix
 
-    # template t = placement id * 2^M + mask of robots on nonempty queues
-    place_id = {placement: i for i, placement in enumerate(placements)}
-    joints, row_start, row_place, row_served = [], [], [], []
-    for placement in placements:
-        for mask in range(1 << m):
-            probe = [0] * n
-            for r, loc in enumerate(placement):
-                probe[loc] = mask >> r & 1
-            template = list(
-                iter_joint_actions(SystemState(placement, tuple(probe)))
+    # one action per (orbit, post) pair, kept as orbit * size + post
+    bits = 1 << np.arange(n, dtype=np.int64)
+    pattern = occupied @ bits
+    pair_keys, pair_acts = [], []
+    for pat in np.unique(pattern).tolist():
+        rows = np.flatnonzero(pattern == pat)
+        served, ends, served_bits, end_bits = _templates(
+            [loc for loc in range(n) if pat >> loc & 1], n
+        )
+        for part in _chunks(len(rows), len(served)):
+            post = queues[rows[part], None, :] - served
+            orbit, t = np.nonzero((post >= 0).all(axis=-1))
+            post = index.ids(post[orbit, t] + radix * ~ends[t])
+            key, first = np.unique(
+                rows[part][orbit] * size + post, return_index=True
             )
-            joints.append(template)
-            row_start.append(len(row_place))
-            for joint in template:
-                served = [0] * n
-                movers = list(placement)
-                for r, act in enumerate(joint):
-                    if act.kind == SWITCH:
-                        movers[r] = act.dest
-                    elif act.kind == SERVE:
-                        served[placement[r]] = 1
-                row_place.append(place_id[tuple(movers)])
-                row_served.append(served)
-    bits = 1 << np.arange(m, dtype=np.int64)
-    state_template = np.concatenate([
-        (queue_mat[:, list(placement)] > 0) @ bits + (i << m)
-        for i, placement in enumerate(placements)
-    ])
-
-    # per state-action: template row and post-service state id
-    counts = np.array([len(t) for t in joints], dtype=np.int64)[state_template]
-    sa_offsets = np.concatenate(([0], np.cumsum(counts)))
-    sa_state = np.repeat(np.arange(len(states)), counts)
-    sa_row = np.arange(sa_offsets[-1]) + np.repeat(
-        np.array(row_start)[state_template] - sa_offsets[:-1], counts
+            pair_keys.append(key)
+            pair_acts.append(
+                np.stack([served_bits[t[first]], end_bits[t[first]]], axis=1)
+            )
+    key = np.concatenate(pair_keys)
+    order = np.argsort(key)
+    actions = np.concatenate(pair_acts)[order]
+    sa_orbit, sa_post = np.divmod(key[order], size)
+    sa_offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(sa_orbit, minlength=size)))
     )
-    sa_queues = sa_state % width
-    base = queue_mat[sa_queues] - np.array(row_served).reshape(-1, n)[sa_row]
-    sa_post = np.array(row_place)[sa_row] * width + base @ weight
-    for i, p in enumerate(probs):
-        if p == 1.0:
-            sa_post += weight[i] * (base[:, i] < cap)
-    del base, sa_row, sa_state
 
-    # one arrival row per post-service id; its branch code depends only on
-    # the queue digits, so it repeats across placements
-    code = np.zeros(width, dtype=np.int64)
-    for i, p in enumerate(probs):
-        if 0.0 < p < 1.0:
-            code |= (queue_mat[:, i] < cap).astype(np.int64) << i
-    code = np.tile(code, len(placements))
-    fan_out = np.array([1 << c.bit_count() for c in range(1 << n)])
-    tr_offsets = np.concatenate(([0], np.cumsum(fan_out[code])))
-    tr_next = np.empty(tr_offsets[-1], dtype=np.int64)
-    tr_prob = np.empty(tr_offsets[-1], dtype=np.float64)
-    for c in np.unique(code).tolist():
-        branching = [i for i in range(n) if c >> i & 1]
-        offsets, pattern_probs = [], []
-        for pattern in itertools.product((0, 1), repeat=len(branching)):
-            prob, offset = 1.0, 0
-            for i, arrival in zip(branching, pattern):
-                prob *= probs[i] if arrival else 1.0 - probs[i]
-                offset += weight[i] * arrival
-            pattern_probs.append(prob)
-            offsets.append(offset)
-        posts = np.flatnonzero(code == c)
-        slots = tr_offsets[posts][:, None] + np.arange(len(offsets))
-        tr_next[slots] = posts[:, None] + np.array(offsets)
-        tr_prob[slots] = pattern_probs
-    for ids in (sa_post, tr_next):
-        if not 0 <= ids.min() <= ids.max() < len(states):
-            raise RuntimeError("kernel points outside the state space")
+    # one arrival row per orbit, duplicate next orbits merged
+    branch = [i for i, p in enumerate(probs) if 0.0 < p < 1.0]
+    forced = np.array([p == 1.0 for p in probs])
+    arrive = np.zeros((1 << len(branch), n), dtype=np.int64)
+    arrive[:, branch] = list(itertools.product((0, 1), repeat=len(branch)))
+    row_lens, tr_next, tr_prob, tr_terms = [], [], [], 1
+    for part in _chunks(size, len(arrive)):
+        below = queues[part] < cap
+        nxt = queues[part, None, :] + below[:, None, :] * (arrive + forced)
+        ids = index.ids(nxt + radix * ~occupied[part, None, :])
+        prob = np.ones(ids.shape)
+        for i in branch:
+            hit = arrive[:, i] == 1
+            prob *= np.where(
+                hit,
+                np.where(below[:, i], probs[i], 0.0)[:, None],
+                np.where(below[:, i], 1.0 - probs[i], 1.0)[:, None],
+            )
+        by_id = np.argsort(ids, axis=1, kind="stable")
+        ids = np.take_along_axis(ids, by_id, axis=1)
+        prob = np.take_along_axis(prob, by_id, axis=1)
+        new = np.ones(ids.shape, dtype=bool)
+        new[:, 1:] = ids[:, 1:] != ids[:, :-1]
+        starts = np.flatnonzero(new)
+        tr_next.append(ids.ravel()[starts])
+        tr_prob.append(np.add.reduceat(prob.ravel(), starts))
+        terms = np.add.reduceat((prob > 0).ravel().astype(np.int64), starts)
+        tr_terms = max(tr_terms, int(terms.max()))
+        row_lens.append(new.sum(axis=1))
     return TruncatedMdp(
         config=config,
         cap=cap,
-        states=states,
-        index={state: i for i, state in enumerate(states)},
-        actions=tuple(itertools.chain.from_iterable(
-            joints[t] for t in state_template.tolist()
-        )),
+        states=keys,
+        actions=actions,
         sa_offsets=sa_offsets,
-        sa_cost=queue_mat.sum(axis=1)[sa_queues].astype(np.float64),
+        sa_cost=queues.sum(axis=1)[sa_orbit].astype(np.float64),
         sa_post=sa_post,
-        tr_offsets=tr_offsets,
-        tr_next=tr_next,
-        tr_prob=tr_prob,
+        tr_offsets=np.concatenate(([0], np.cumsum(np.concatenate(row_lens)))),
+        tr_next=np.concatenate(tr_next),
+        tr_prob=np.concatenate(tr_prob),
+        tr_terms=tr_terms,
+        orbits=index,
+    )
+
+
+def _ids(mdp: TruncatedMdp, queues: np.ndarray, occupied: np.ndarray):
+    """Orbit ids of ordered states given as queue and occupancy vectors
+    (broadcast against each other along the last axis)."""
+    return mdp.orbits.ids(queues + (mdp.cap + 1) * ~occupied)
+
+
+def orbit_id(mdp: TruncatedMdp, state: SystemState) -> int:
+    """The id of the orbit an ordered state belongs to."""
+    queues = np.array(state.queues, dtype=np.int64)
+    if len(queues) != mdp.config.num_locations or not (
+        0 <= queues.min() and queues.max() <= mdp.cap
+    ):
+        raise ValueError(f"{state} is not a state of this capped model")
+    occupied = np.zeros(len(queues), dtype=bool)
+    occupied[list(state.robots)] = True
+    return int(_ids(mdp, queues, occupied))
+
+
+def lift(mdp: TruncatedMdp, per_orbit: np.ndarray) -> np.ndarray:
+    """per_orbit on the ordered grid: axis 0 the placement, in
+    itertools.permutations order, axis 1 + i the length of queue i.
+    Flattened, its index is the ordered state id, placement-major with the
+    queues read as base-(cap+1) digits, location 0 most significant."""
+    n, m, radix = mdp.config.num_locations, mdp.config.num_robots, mdp.cap + 1
+    queues = _digits(radix, n)
+    grid = np.empty((math.perm(n, m), len(queues)), dtype=per_orbit.dtype)
+    by_set: dict[tuple[int, ...], np.ndarray] = {}
+    for i, placement in enumerate(itertools.permutations(range(n), m)):
+        occupied = tuple(sorted(placement))
+        if occupied not in by_set:
+            flags = np.zeros(n, dtype=bool)
+            flags[list(occupied)] = True
+            by_set[occupied] = per_orbit[_ids(mdp, queues, flags)]
+        grid[i] = by_set[occupied]
+    return grid.reshape((-1,) + (radix,) * n)
+
+
+def expected_values(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
+    """W[j] = E[v(next)] over orbit j's arrival row."""
+    return np.add.reduceat(
+        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
     )
 
 
 def q_table(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
-    """Q = stage cost + beta * E[v(next)] for every state-action, read from
-    the table v.  E[v(next)] is reduced once per post-service arrival row,
-    then each state-action reads the row of its post-service state."""
-    expected = np.add.reduceat(
-        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
-    )
-    return mdp.sa_cost + mdp.config.discount * expected[mdp.sa_post]
+    """Q = stage cost + beta * W[post] for every orbit-action, read from
+    the orbit table v."""
+    return mdp.sa_cost + mdp.config.discount * expected_values(
+        mdp, values
+    )[mdp.sa_post]
 
 
 def bellman_update(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
-    """One Bellman sweep: the table T v, each state's minimum Q over v."""
+    """One Bellman sweep: the table T v, each orbit's minimum Q over v."""
     return np.minimum.reduceat(q_table(mdp, values), mdp.sa_offsets[:-1])
 
 
-def _queue_grid(mdp: TruncatedMdp, per_state: np.ndarray) -> np.ndarray:
-    """per_state, indexed by state id, viewed as placement x queue digits:
-    axis 0 the placement, axis 1 + i the length of queue i."""
-    n = mdp.config.num_locations
-    return per_state.reshape((-1,) + (mdp.cap + 1,) * n)
+def _rounding(row_max: int, terms: int, n: int, beta: float) -> float:
+    """Relative float error of one sweep, carried through 1 / (1 - beta)."""
+    return (row_max + terms + n + 2) * np.finfo(np.float64).eps / 2 / (
+        1.0 - beta
+    )
+
+
+def min_tolerance(config: ModelConfig, cap: int) -> float:
+    """The smallest tol that value_iteration can honour on this instance:
+    twice the rounding allowance of its error_bound, bounded before
+    solving.  Rows and merged entries hold at most 2^B patterns, B the
+    locations with 0 < p < 1, and every |T v| is at most
+    max cost / (1 - beta).  Above it the returned error_bound stays below
+    tol; below it the float sweep can stall short of MacQueen's band."""
+    beta = config.discount
+    fan = 2 ** sum(0.0 < p < 1.0 for p in config.arrival_probs)
+    max_cost = config.num_locations * cap
+    return 2 * _rounding(fan, fan, config.num_locations, beta) * max_cost * (
+        1.0 + 1.0 / (1.0 - beta)
+    )
 
 
 def value_iteration(
@@ -268,13 +498,15 @@ def value_iteration(
     k * (max d - min d) / 2 < tol / 2 of the fixed point everywhere.
 
     error_bound adds the rounding of float arithmetic to that half-width.
-    One computed sweep is within (L + N + 3) * u * (max cost + max |T v|)
-    of the exact one, L the longest arrival row, N the locations and u
-    the unit roundoff (products, row sums, the probabilities' N factors and
-    the scaled add), and the bounds carry that error times 1 / (1 - beta).
-    The allowance matters only at large beta and a tol near the rounding
-    floor; there a float fixed point of the sweep can stop the iteration
-    with d = 0 while the values still differ from the fixed point.
+    One computed sweep is within (L + G + N + 2) * u * (max cost +
+    max |T v|) of the exact one, L the longest arrival row, G = tr_terms
+    the most pattern products merged into one probability, N the
+    locations and u the unit roundoff (products, row sums, the merge, the
+    probabilities' N factors and the scaled add), and the bounds carry
+    that error times 1 / (1 - beta).  The allowance matters only at large
+    beta and a tol near the rounding floor (min_tolerance); there a float
+    fixed point of the sweep can stop the iteration with d = 0 while the
+    values still differ from the fixed point.
 
     residual_history keeps the sup-norm of d for each sweep.  Raises
     ConvergenceError when max_sweeps pass without the band closing.
@@ -283,11 +515,11 @@ def value_iteration(
         raise ValueError("tolerance must be positive")
     beta = mdp.config.discount
     k = beta / (1.0 - beta)
-    row_max = int(np.diff(mdp.tr_offsets).max())
-    rounding = (
-        (row_max + mdp.config.num_locations + 3)
-        * np.finfo(np.float64).eps / 2
-        / (1.0 - beta)
+    rounding = _rounding(
+        int(np.diff(mdp.tr_offsets).max()),
+        mdp.tr_terms,
+        mdp.config.num_locations,
+        beta,
     )
     max_cost = float(mdp.sa_cost.max())
     values = np.zeros(len(mdp.states))
@@ -314,14 +546,33 @@ def value_iteration(
     )
 
 
+def _moves(placement, joints, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Served counts (J, n) and end-of-slot occupancy (J, n) of each joint
+    action taken from placement."""
+    served = np.zeros((len(joints), n), dtype=np.int64)
+    ends = np.zeros((len(joints), n), dtype=bool)
+    for j, joint in enumerate(joints):
+        for loc, act in zip(placement, joint):
+            if act.kind == SWITCH:
+                ends[j, act.dest] = True
+            else:
+                ends[j, loc] = True
+                served[j, loc] = act.kind == SERVE
+    return served, ends
+
+
 def q_values(
     mdp: TruncatedMdp, table: ValueTable, state: SystemState
 ) -> dict[JointAction, float]:
-    """Q(a) = stage cost + beta * E[V(next)] for every feasible joint."""
-    state_id = mdp.index[state]
-    lo, hi = mdp.sa_offsets[state_id], mdp.sa_offsets[state_id + 1]
-    q = q_table(mdp, table.values)[lo:hi]
-    return dict(zip(mdp.actions[lo:hi], q.tolist()))
+    """Q(a) = stage cost + beta * E[V(next)] for every feasible joint of an
+    ordered state, in iter_joint_actions order, read as
+    cost + beta * W[orbit(post)]."""
+    joints = list(iter_joint_actions(state))
+    served, ends = _moves(state.robots, joints, mdp.config.num_locations)
+    post = _ids(mdp, np.array(state.queues) - served, ends)
+    w = expected_values(mdp, table.values)
+    q = float(sum(state.queues)) + mdp.config.discount * w[post]
+    return dict(zip(joints, q.tolist()))
 
 
 @dataclass(frozen=True)
@@ -344,9 +595,13 @@ def check_esl_optimality(
 ) -> list[Violation]:
     """Audit the serve-longest rule against the exact Q-values.
 
-    The Q-values are q_table over the solved values, the table whose
-    per-state minimum the sweep takes.  At every interior state, in id
-    order, the rule's joint action must (a) attain the minimum Q up to
+    Walks the ordered interior states, placement-major with the queues in
+    itertools.product order.  A joint action's Q is cost +
+    beta * W[orbit(post)], W the solved values' expected next value per
+    post-service orbit, and the minimum Q at a state is its orbit's own
+    minimum, the sweep's.  The feasible joints come from one template per
+    (placement, mask of robots on nonempty queues).  At every interior
+    state the rule's joint action must (a) attain the minimum Q up to
     tie_tol, (b) for each robot with local work, beat every single-robot
     deviation to idle or switch strictly, and (c) for each robot the rule
     sends to a queue, beat both idling and switching to any strictly
@@ -357,77 +612,99 @@ def check_esl_optimality(
     """
     if margin < 1 or margin >= mdp.cap:
         raise ValueError("margin must satisfy 1 <= margin < cap")
-    n = mdp.config.num_locations
-    inner = (slice(None),) + (slice(None, mdp.cap - margin + 1),) * n
-    interior = _queue_grid(mdp, np.arange(len(mdp.states)))[inner].ravel()
-    q_all = q_table(mdp, table.values)
+    n, m = mdp.config.num_locations, mdp.config.num_robots
+    beta = mdp.config.discount
+    w = expected_values(mdp, table.values)
+    orbit_min = bellman_update(mdp, table.values)
+    interior = _digits(mdp.cap - margin + 1, n)
+    cost = interior.sum(axis=1).astype(np.float64)
+    bits = 1 << np.arange(m, dtype=np.int64)
     violations: list[Violation] = []
-    starts = mdp.sa_offsets[interior].tolist()
-    ends = mdp.sa_offsets[interior + 1].tolist()
-    for state_id, lo, hi in zip(interior.tolist(), starts, ends):
-        state = mdp.states[state_id]
-        q = dict(zip(mdp.actions[lo:hi], q_all[lo:hi].tolist()))
-        chosen = rule(state)
-        if chosen not in q:
-            violations.append(
-                Violation(state, "rule-action-infeasible", math.inf)
+    for placement in itertools.permutations(range(n), m):
+        occupied = np.zeros(n, dtype=bool)
+        occupied[list(placement)] = True
+        own_min = orbit_min[_ids(mdp, interior, occupied)].tolist()
+        held = interior[:, list(placement)] > 0
+        masks = held @ bits
+        rows: list = [None] * len(interior)
+        for mask in np.unique(masks).tolist():
+            sel = np.flatnonzero(masks == mask)
+            probe = [0] * n
+            for r, loc in enumerate(placement):
+                probe[loc] = mask >> r & 1
+            joints = list(
+                iter_joint_actions(SystemState(placement, tuple(probe)))
             )
-            continue
-        q_star = q[chosen]
-        q_min = min(q.values())
-        if q_star > q_min + tie_tol:
-            violations.append(Violation(state, "not-argmin", q_star - q_min))
-        robots, queues = state
-        for r, loc in enumerate(robots):
-            here = chosen[r]
-            if queues[loc] > 0:
-                # local work: serving must strictly beat leaving or idling
-                for alt_act in _robot_deviations(state, r):
-                    alt = chosen[:r] + (alt_act,) + chosen[r + 1:]
+            served, ends = _moves(placement, joints, n)
+            post = _ids(mdp, interior[sel, None, :] - served, ends)
+            q_sel = cost[sel, None] + beta * w[post]
+            for s, q_row in zip(sel.tolist(), q_sel.tolist()):
+                rows[s] = (joints, q_row)
+        for s, queues in enumerate(map(tuple, interior.tolist())):
+            state = SystemState(placement, queues)
+            q = dict(zip(*rows[s]))
+            chosen = rule(state)
+            if chosen not in q:
+                violations.append(
+                    Violation(state, "rule-action-infeasible", math.inf)
+                )
+                continue
+            q_star = q[chosen]
+            q_min = own_min[s]
+            if q_star > q_min + tie_tol:
+                violations.append(
+                    Violation(state, "not-argmin", q_star - q_min)
+                )
+            for r, loc in enumerate(placement):
+                here = chosen[r]
+                if queues[loc] > 0:
+                    # local work: serving must strictly beat leaving or idling
+                    for alt_act in _robot_deviations(state, r):
+                        alt = chosen[:r] + (alt_act,) + chosen[r + 1:]
+                        alt_q = q.get(alt)
+                        if alt_q is not None and alt_q <= q_star + tie_tol:
+                            violations.append(
+                                Violation(
+                                    state,
+                                    "serve-not-strict",
+                                    q_star - alt_q,
+                                    robot=r,
+                                    alternative=alt,
+                                )
+                            )
+                elif here.kind == SWITCH:
+                    target_len = queues[here.dest]
+                    alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]
                     alt_q = q.get(alt)
                     if alt_q is not None and alt_q <= q_star + tie_tol:
                         violations.append(
                             Violation(
                                 state,
-                                "serve-not-strict",
+                                "idle-not-strict",
                                 q_star - alt_q,
                                 robot=r,
                                 alternative=alt,
                             )
                         )
-            elif here.kind == SWITCH:
-                target_len = queues[here.dest]
-                alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]
-                alt_q = q.get(alt)
-                if alt_q is not None and alt_q <= q_star + tie_tol:
-                    violations.append(
-                        Violation(
-                            state,
-                            "idle-not-strict",
-                            q_star - alt_q,
-                            robot=r,
-                            alternative=alt,
+                    for j in range(n):
+                        if j == loc or not 0 < queues[j] < target_len:
+                            continue
+                        alt = (
+                            chosen[:r]
+                            + (RobotAction(SWITCH, j),)
+                            + chosen[r + 1:]
                         )
-                    )
-                for j in range(n):
-                    if j == loc or not 0 < queues[j] < target_len:
-                        continue
-                    alt = (
-                        chosen[:r]
-                        + (RobotAction(SWITCH, j),)
-                        + chosen[r + 1:]
-                    )
-                    alt_q = q.get(alt)
-                    if alt_q is not None and alt_q <= q_star + tie_tol:
-                        violations.append(
-                            Violation(
-                                state,
-                                "shorter-not-strict",
-                                q_star - alt_q,
-                                robot=r,
-                                alternative=alt,
+                        alt_q = q.get(alt)
+                        if alt_q is not None and alt_q <= q_star + tie_tol:
+                            violations.append(
+                                Violation(
+                                    state,
+                                    "shorter-not-strict",
+                                    q_star - alt_q,
+                                    robot=r,
+                                    alternative=alt,
+                                )
                             )
-                        )
     return violations
 
 
@@ -443,15 +720,37 @@ def _robot_deviations(state: SystemState, robot: int):
 def monotonicity_violations(
     mdp: TruncatedMdp, table: ValueTable, tol: float = 1e-9
 ) -> list[tuple[SystemState, int]]:
-    """States where adding one task at some location lowers the value.
+    """Ordered states where adding one task at some location lowers the
+    value.
 
     The optimal cost must be coordinate-wise non-decreasing in the queue
     vector; returns the (state, location) pairs that break that by more
-    than tol, in state id then location order.
+    than tol on the lifted grid, in ordered state id then location order.
+    An ordered state dips exactly where its orbit's representative does
+    at the relabelled location, so the grid, count_states values, is
+    lifted only when some representative dips.
     """
-    grid = _queue_grid(mdp, table.values)
-    n = mdp.config.num_locations
+    n, radix = mdp.config.num_locations, mdp.cap + 1
+    below = mdp.states % radix < mdp.cap
+    for i in range(n):
+        bumped = mdp.states.copy()
+        bumped[:, i] += below[:, i]
+        rise = table.values[mdp.orbits.ids(bumped)] - table.values
+        if (below[:, i] & (rise < -tol)).any():
+            break
+    else:
+        return []
+    grid = lift(mdp, table.values)
     # the appended +inf keeps a queue at the cap from counting as a dip
-    rises = [np.diff(grid, axis=1 + i, append=np.inf) for i in range(n)]
-    dips = np.stack(rises, axis=-1).reshape(len(mdp.states), n) < -tol
-    return [(mdp.states[s], i) for s, i in np.argwhere(dips).tolist()]
+    dips = np.stack([
+        np.diff(grid, axis=1 + i, append=np.inf) < -tol for i in range(n)
+    ], axis=-1).reshape(-1, n)
+    placements = list(itertools.permutations(range(n), mdp.config.num_robots))
+    found = []
+    for s, i in np.argwhere(dips).tolist():
+        place, digits = divmod(s, radix**n)
+        queues = np.unravel_index(digits, (radix,) * n)
+        found.append(
+            (SystemState(placements[place], tuple(map(int, queues))), i)
+        )
+    return found

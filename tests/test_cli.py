@@ -395,34 +395,39 @@ def test_verify_passes_on_serve_longest(tmp_path):
     assert payload["instances"][0]["violation_count"] == 0
     assert payload["instances"][0]["monotonicity_violation_count"] == 0
     assert payload["instances"][0]["interior_max_queue"] == 3  # cap - margin
-    # one arrival row per post-service state: 2 placements x (5 * 2 + 1)^2
-    assert payload["instances"][0]["transitions"] == 242
+    assert payload["instances"][0]["states"] == 72  # ordered: 2 x 6^2
+    # orbits (occupied queue | unoccupied queue), each with one arrival row
+    # of 4 next orbits below the cap, 2 with one queue at it, 1 with both
+    assert payload["instances"][0]["solver_states"] == 36
+    assert payload["instances"][0]["transitions"] == 25 * 4 + 10 * 2 + 1
     assert 0.0 < payload["instances"][0]["error_bound"] < 1.0e-10  # tol
     assert all(c["pattern_failures"] == 0 for c in payload["coupling"])
 
 
 def test_verify_fails_on_a_value_dip(tmp_path, capsys, monkeypatch):
     """A value table that drops when a queue grows fails verify even when
-    the audit passes.  The dip sits at queues (5, 4), outside the interior
-    and out of one slot's reach of it, so only the monotonicity check can
-    see it: it flags (4, 4) at location 0 and (5, 3) at location 1."""
+    the audit passes.  The dip sits on the orbit of robot at 0, queues
+    (5, 4), which also holds robot at 1, queues (4, 5): outside the
+    interior and out of one slot's reach of it, so only the monotonicity
+    check can see it.  It flags (4, 4) and (5, 3) with the robot at 0, and
+    (4, 4) and (3, 5) with the robot at 1."""
     solve = cli.value_iteration
 
     def dipped(mdp, tol):
         table = solve(mdp, tol)
         values = table.values.copy()
-        values[mdp.index[eslsim.SystemState((0,), (5, 4))]] -= 100.0
+        values[eslsim.orbit_id(mdp, eslsim.SystemState((0,), (5, 4)))] -= 100.0
         return dataclasses.replace(table, values=values)
 
     monkeypatch.setattr(cli, "value_iteration", dipped)
     cfg = write(tmp_path / "verify.yaml", VERIFY_OK)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-    assert "2 monotonicity violations" in capsys.readouterr().err
+    assert "4 monotonicity violations" in capsys.readouterr().err
     payload = json.loads((out / "verify.json").read_text())
     assert payload["ok"] is False
     assert payload["instances"][0]["violation_count"] == 0
-    assert payload["instances"][0]["monotonicity_violation_count"] == 2
+    assert payload["instances"][0]["monotonicity_violation_count"] == 4
 
 
 def test_verify_flags_perverted_rule(tmp_path, capsys):
@@ -440,10 +445,12 @@ def test_verify_flags_perverted_rule(tmp_path, capsys):
 
 
 def test_verify_budget_exceeded(tmp_path, capsys):
+    """The state budget counts solver states: (6, 3) at cap 30 has
+    5,456^2 orbits."""
     text = (
         VERIFY_OK.replace("locations: 2", "locations: 6")
         .replace("robots: 1", "robots: 3")
-        .replace("cap: 5", "cap: 9")
+        .replace("cap: 5", "cap: 30")
     )
     cfg = write(tmp_path / "verify.yaml", text)
     out = tmp_path / "out"
@@ -498,9 +505,11 @@ def test_verify_that_checks_nothing_is_rejected(
         ([("tol: 1.0e-10", "tol: -1.0")], "instances[0].tol: "),
         ([("tol: 1.0e-10", "tie_tol: -1.0")], "instances[0].tie_tol: "),
         (
-            [("locations: 2", "locations: 5"), ("cap: 5", "cap: 2"),
-             ("margin: 2", "margin: 1")],
-            "instances[0]: instance exceeds the joint-action enumeration caps",
+            [("locations: 2", "locations: 6"), ("robots: 1", "robots: 3"),
+             ("cap: 5", "cap: 9")],
+            "instances[0]: instance exceeds the joint-action enumeration "
+            "budget: the audit would read 5,736,468,480 interior "
+            "state-actions, more than 20,000,000",
         ),
         ([("rule: esl", "rule: [esl]")], "rule: expected str"),
         ([("robots: 1", "robots: 3")], "instances[0].robots: "),
@@ -525,6 +534,12 @@ def test_verify_that_checks_nothing_is_rejected(
             [("tol: 1.0e-10", "tie_tol: .inf")],
             "instances[0].tie_tol: expected a finite number >= 0, got inf",
         ),
+        (
+            [("p: 0.1\n", "p: 0.3\n"), ("beta: 0.9\n", "beta: 0.99\n"),
+             ("tol: 1.0e-10", "tol: 1.0e-13")],
+            "instances[0].tol: 1e-13 is at or below this instance's float "
+            "rounding floor 2.69e-10; value iteration cannot certify it",
+        ),
     ],
 )
 def test_verify_keys_checked(tmp_path, capsys, edits, message):
@@ -540,8 +555,9 @@ def test_verify_keys_checked(tmp_path, capsys, edits, message):
 
 
 def test_audit_caps_checked_before_solving(tmp_path, capsys, monkeypatch):
-    """An instance the audit cannot enumerate exits 2 before any instance
-    is built, not after the instances ahead of it are solved."""
+    """An instance whose audit would read more interior state-actions than
+    the budget exits 2 before any instance is built, not after the
+    instances ahead of it are solved."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("an instance was built")
@@ -549,16 +565,34 @@ def test_audit_caps_checked_before_solving(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_truncated_mdp", no_build)
     text = VERIFY_OK.replace(
         "coupling:",
-        "  - {locations: 5, robots: 1, cap: 7, p: 0.1, margin: 1}\ncoupling:",
+        "  - {locations: 6, robots: 3, cap: 9, p: 0.1, margin: 2}\ncoupling:",
     )
     cfg = write(tmp_path / "verify.yaml", text)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert (
         f"{cfg}: instances[1]: instance exceeds the joint-action "
-        "enumeration caps" in capsys.readouterr().err
+        "enumeration budget" in capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_verify_audits_five_locations(tmp_path):
+    """Five locations, past the old four-location audit cap, run: 2,640
+    orbits stand for 163,840 ordered states, and the audit reads their
+    15,625 interior ones."""
+    text = VERIFY_OK.replace(
+        "coupling:",
+        "  - {locations: 5, robots: 1, cap: 7, p: 0.1, margin: 3}\ncoupling:",
+    )
+    cfg = write(tmp_path / "verify.yaml", text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    inst = json.loads((out / "verify.json").read_text())["instances"][1]
+    assert inst["states"] == 5 * 8**5
+    assert inst["solver_states"] == 2640
+    assert inst["violation_count"] == 0
+    assert inst["error_bound"] < 1.0e-10
 
 
 def test_verify_nonconvergence_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -11,18 +11,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scalar_mdp import build_truncated_mdp_scalar
 
+from eslsim.mdp import min_tolerance
+
 from eslsim import (
     IDLE_ACTION,
     SERVE_ACTION,
     ModelConfig,
     StateSpaceTooLargeError,
     SystemState,
+    ValueTable,
     bellman_update,
     build_truncated_mdp,
     check_esl_optimality,
+    count_audit_pairs,
+    count_orbits,
     count_states,
     esl_decide,
+    initial_state,
+    iter_joint_actions,
+    lift,
     monotonicity_violations,
+    orbit_id,
     q_table,
     q_values,
     switch_to,
@@ -95,17 +104,68 @@ def oracle_finite_horizon(n, m, cap, probs, beta, horizon):
     return values
 
 
+def ordered_states(model, cap):
+    """Every ordered state of the capped model, in ordered id order."""
+    n = model.num_locations
+    return [
+        SystemState(placement, queues)
+        for placement in itertools.permutations(range(n), model.num_robots)
+        for queues in itertools.product(range(cap + 1), repeat=n)
+    ]
+
+
 def test_state_count_formula():
     model = ModelConfig.symmetric(2, 1, 0.1, 0.9)
     assert count_states(model, 1) == 8
     mdp = build_truncated_mdp(model, cap=1)
-    assert len(mdp.states) == 8
-    assert len(mdp.index) == 8
+    assert lift(mdp, np.zeros(len(mdp.states))).size == 8
+    # orbits: (occupied queue | unoccupied queue)
+    assert len(mdp.states) == count_orbits(model, 1) == 4
 
 
 def test_two_robot_placement_count():
     model = ModelConfig.symmetric(2, 2, 0.1, 0.9)
-    assert len(build_truncated_mdp(model, cap=2).states) == 2 * 9
+    mdp = build_truncated_mdp(model, cap=2)
+    assert lift(mdp, np.zeros(len(mdp.states))).shape == (2, 3, 3)
+    assert len(mdp.states) == 6  # sorted pairs of queues in 0..2
+
+
+@pytest.mark.parametrize(
+    "probs,cap",
+    [
+        ((0.2,) * 4, 5),
+        ((0.2, 0.5, 0.2, 0.5), 3),
+        ((0.1, 0.35, 0.6, 0.85), 2),
+        ((0.0, 1.0, 0.7, 1.0), 3),
+    ],
+)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_orbit_count_formula(probs, cap, m):
+    """count_orbits is the number of canonical forms of the ordered
+    states: relabelling within each class of equal rate."""
+    model = ModelConfig(4, m, probs, 0.9)
+    mdp = build_truncated_mdp(model, cap)
+    ids = lift(mdp, np.arange(len(mdp.states)))
+    assert len(np.unique(ids)) == len(mdp.states) == count_orbits(model, cap)
+    if len(set(probs)) == 1:
+        assert count_orbits(model, cap) == (
+            math.comb(cap + m, m) * math.comb(cap + 4 - m, 4 - m)
+        )
+
+
+@pytest.mark.parametrize(
+    "n,m,cap,margin",
+    [(2, 1, 4, 1), (3, 2, 4, 2), (3, 3, 3, 1), (4, 2, 3, 1), (4, 3, 4, 2)],
+)
+def test_audit_pair_count_matches_enumeration(n, m, cap, margin):
+    model = ModelConfig.symmetric(n, m, 0.2, 0.9)
+    top = cap - margin
+    pairs = sum(
+        len(list(iter_joint_actions(SystemState(placement, queues))))
+        for placement in itertools.permutations(range(n), m)
+        for queues in itertools.product(range(top + 1), repeat=n)
+    )
+    assert count_audit_pairs(model, cap, margin) == pairs
 
 
 def test_kernel_rows_are_stochastic():
@@ -119,8 +179,10 @@ def test_kernel_rows_are_stochastic():
 def test_budget_guard_fires_before_allocation():
     model = ModelConfig.symmetric(6, 3, 0.1, 0.9)
     assert count_states(model, 9) == 120 * 10**6
+    # the budget counts solver states: 5,456^2 orbits at cap 30
+    assert count_orbits(model, 30) == 5456**2
     with pytest.raises(StateSpaceTooLargeError, match="state space too large"):
-        build_truncated_mdp(model, cap=9)
+        build_truncated_mdp(model, cap=30)
     with pytest.raises(ValueError):
         build_truncated_mdp(ModelConfig.symmetric(2, 1, 0.1, 0.9), cap=0)
 
@@ -129,7 +191,7 @@ def test_deterministic_drain_value():
     model = ModelConfig.symmetric(2, 1, 0.0, 0.5)
     mdp = build_truncated_mdp(model, cap=3)
     table = value_iteration(mdp, tol=1e-12)
-    v = table.values[mdp.index[SystemState((0,), (2, 0))]]
+    v = table.values[orbit_id(mdp, SystemState((0,), (2, 0)))]
     # drain two tasks: cost 2 now, 1 next slot, empty thereafter
     assert v == pytest.approx(2.5, abs=1e-9)
 
@@ -139,7 +201,7 @@ def test_no_arrivals_empty_system_is_free():
     mdp = build_truncated_mdp(model, cap=2)
     table = value_iteration(mdp, tol=1e-12)
     for loc in (0, 1):
-        assert table.values[mdp.index[SystemState((loc,), (0, 0))]] == 0.0
+        assert table.values[orbit_id(mdp, SystemState((loc,), (0, 0)))] == 0.0
 
 
 def test_value_iteration_matches_independent_backup():
@@ -148,10 +210,11 @@ def test_value_iteration_matches_independent_backup():
     table = value_iteration(mdp, tol=1e-12)
     oracle = oracle_finite_horizon(2, 1, 4, (0.1, 0.1), 0.9, horizon=300)
     probe = SystemState((0,), (0, 3))
-    assert abs(table.values[mdp.index[probe]] - oracle[((0,), (0, 3))]) < 1e-8
-    for state in mdp.states:
-        v = table.values[mdp.index[state]]
-        assert abs(v - oracle[(state.robots, state.queues)]) < 1e-8
+    v = table.values[orbit_id(mdp, probe)]
+    assert abs(v - oracle[((0,), (0, 3))]) < 1e-8
+    for state in oracle:
+        v = table.values[orbit_id(mdp, SystemState(*state))]
+        assert abs(v - oracle[state]) < 1e-8
 
 
 def test_q_values_structure():
@@ -169,9 +232,9 @@ def test_bellman_consistency_everywhere():
     mdp = build_truncated_mdp(model, cap=4)
     tol = 1e-10
     table = value_iteration(mdp, tol=tol)
-    for state in mdp.states:
+    for state in ordered_states(model, cap=4):
         q = q_values(mdp, table, state)
-        assert abs(min(q.values()) - table.values[mdp.index[state]]) <= tol
+        assert abs(min(q.values()) - table.values[orbit_id(mdp, state)]) <= tol
 
 
 def test_symmetric_targets_tie():
@@ -281,6 +344,18 @@ def test_residual_history_contracts_geometrically():
             assert b <= beta * a + 1e-12
 
 
+def test_tolerance_just_above_the_floor_is_honoured():
+    """Just above min_tolerance the band closes and error_bound stays
+    below tol.  At tol 1e-13 this instance ran 3,218 sweeps into a float
+    fixed point and returned an error_bound 240 times tol."""
+    model = ModelConfig.symmetric(2, 1, 0.3, 0.99)
+    tol = 1.01 * min_tolerance(model, 5)
+    assert 1e-13 < tol < 1e-9
+    table = value_iteration(build_truncated_mdp(model, 5), tol)
+    assert table.error_bound < tol
+    assert table.iterations < 1000
+
+
 def test_value_iteration_returns_the_certified_midpoint():
     """At beta 0.99 and a loose tol the bounds close while the sweep's
     sup-norm change is still far above tol, so a stop on that residual
@@ -305,18 +380,22 @@ def test_value_monotone_in_queue_lengths():
 
 
 def test_monotonicity_flags_a_planted_dip():
-    """Lowering one state's value below its neighbours' flags exactly
-    the two states one task short of it, each at the location whose bump
-    lands on the dip, in state id order; the dip's own bumps stay above."""
+    """Lowering one orbit's value below its neighbours' flags exactly the
+    ordered states one task short of its members, each at the location
+    whose bump lands on the dip, in state id order; the dip's own bumps
+    stay above.  The orbit of robot at 0, queues (2, 1) also holds robot
+    at 1, queues (1, 2)."""
     model = ModelConfig.symmetric(2, 1, 0.2, 0.9)
     mdp = build_truncated_mdp(model, cap=4)
     table = value_iteration(mdp, tol=1e-10)
     values = table.values.copy()
-    values[mdp.index[SystemState((0,), (2, 1))]] -= 100.0
+    values[orbit_id(mdp, SystemState((0,), (2, 1)))] -= 100.0
     dipped = dataclasses.replace(table, values=values)
     assert monotonicity_violations(mdp, dipped) == [
         (SystemState((0,), (1, 1)), 0),
         (SystemState((0,), (2, 0)), 1),
+        (SystemState((1,), (0, 2)), 0),
+        (SystemState((1,), (1, 1)), 1),
     ]
 
 
@@ -339,46 +418,60 @@ def test_values_non_negative():
 def test_state_actions_slices_align():
     model = ModelConfig.symmetric(2, 1, 0.1, 0.9)
     mdp = build_truncated_mdp(model, cap=1)
-    acts = mdp.state_actions(mdp.index[SystemState((0,), (1, 0))])
+    table = value_iteration(mdp, tol=1e-10)
+    acts = list(q_values(mdp, table, SystemState((0,), (1, 0))))
     assert (SERVE_ACTION,) in acts
     assert (IDLE_ACTION,) in acts
     assert (switch_to(1),) in acts
 
 
-KERNEL_ARRAYS = ("sa_offsets", "sa_cost", "tr_offsets", "tr_next", "tr_prob")
+def explicit_q(mdp, values):
+    """Every state-action's Q over a per-state-action kernel."""
+    expected = np.add.reduceat(
+        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
+    )
+    return mdp.sa_cost + mdp.config.discount * expected
 
 
-def expand_kernel(mdp):
-    """The explicit kernel of a TruncatedMdp: every state-action gets a
-    copy of its post-service state's arrival row."""
-    rows = [
-        range(mdp.tr_offsets[j], mdp.tr_offsets[j + 1])
-        for j in mdp.sa_post.tolist()
-    ]
-    entries = np.array([e for row in rows for e in row], dtype=np.int64)
-    return {
-        "sa_offsets": mdp.sa_offsets,
-        "sa_cost": mdp.sa_cost,
-        "tr_offsets": np.cumsum([0] + [len(row) for row in rows]),
-        "tr_next": mdp.tr_next[entries],
-        "tr_prob": mdp.tr_prob[entries],
-    }
+def explicit_sweep(mdp, values):
+    """One Bellman sweep over a per-state-action kernel."""
+    return np.minimum.reduceat(explicit_q(mdp, values), mdp.sa_offsets[:-1])
 
 
-def assert_same_as_scalar(model, cap):
+def explicit_value_iteration(mdp, sweeps):
+    """Value iteration on the explicit kernel from zero for a set number of
+    sweeps, returning MacQueen's midpoint as value_iteration does."""
+    k = mdp.config.discount / (1.0 - mdp.config.discount)
+    values = np.zeros(len(mdp.states))
+    for _ in range(sweeps):
+        new_values = explicit_sweep(mdp, values)
+        diff = new_values - values
+        values = new_values
+    return values + k * (float(diff.max()) + float(diff.min())) / 2
+
+
+def lifted_q(mdp, table, states):
+    """The orbit solver's Q at every ordered state-action, in the order of
+    the states and of iter_joint_actions, with the joints."""
+    rows = [q_values(mdp, table, state) for state in states]
+    joints = tuple(joint for row in rows for joint in row)
+    return joints, np.array([q for row in rows for q in row.values()])
+
+
+def assert_lifted_matches_scalar(model, cap):
+    """Lifted values within 1e-12 of the explicit kernel's value iteration
+    run for as many sweeps, and lifted Q within 1e-12 of the explicit Q at
+    every ordered state-action."""
     fast = build_truncated_mdp(model, cap)
     slow = build_truncated_mdp_scalar(model, cap)
-    assert fast.states == slow.states
-    assert fast.index == slow.index
-    assert fast.actions == slow.actions
-    # one arrival row per post-service state, in id order
-    assert len(fast.tr_offsets) == len(fast.states) + 1
-    explicit = expand_kernel(fast)
-    for name in KERNEL_ARRAYS:
-        got, want = explicit[name], getattr(slow, name)
-        assert got.dtype == want.dtype, name
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    table = value_iteration(fast, tol=1e-10)
+    lifted = lift(fast, table.values).ravel()
+    assert len(lifted) == len(slow.states)
+    want = explicit_value_iteration(slow, table.iterations)
+    assert float(np.max(np.abs(lifted - want))) <= 1e-12
+    joints, q = lifted_q(fast, table, slow.states)
+    assert joints == slow.actions
+    assert float(np.max(np.abs(q - explicit_q(slow, lifted)))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -402,7 +495,7 @@ def assert_same_as_scalar(model, cap):
     ],
 )
 def test_template_build_matches_scalar_oracle(n, m, cap, probs):
-    assert_same_as_scalar(ModelConfig(n, m, probs, 0.9), cap)
+    assert_lifted_matches_scalar(ModelConfig(n, m, probs, 0.9), cap)
 
 
 @settings(max_examples=25, deadline=None)
@@ -420,20 +513,7 @@ def test_template_build_matches_scalar_oracle_fuzzed(n, m_draw, cap, probs):
     model = ModelConfig(n, min(m_draw, n), tuple(probs[:n]), 0.9)
     # keeps the scalar oracle's per-transition loop to well under a second
     assume(count_states(model, cap) <= 1000)
-    assert_same_as_scalar(model, cap)
-
-
-def explicit_q(mdp, values):
-    """Every state-action's Q over a per-state-action kernel."""
-    expected = np.add.reduceat(
-        mdp.tr_prob * values[mdp.tr_next], mdp.tr_offsets[:-1]
-    )
-    return mdp.sa_cost + mdp.config.discount * expected
-
-
-def explicit_sweep(mdp, values):
-    """One Bellman sweep over a per-state-action kernel."""
-    return np.minimum.reduceat(explicit_q(mdp, values), mdp.sa_offsets[:-1])
+    assert_lifted_matches_scalar(model, cap)
 
 
 @pytest.mark.parametrize(
@@ -447,34 +527,83 @@ def explicit_sweep(mdp, values):
     ],
 )
 def test_bellman_update_matches_explicit_kernel(n, m, cap, probs):
-    """The Q table and the sweep on the post-service rows equal, bit for
-    bit, those over the scalar oracle's explicit kernel: along the
-    iteration from zero and from a random table."""
+    """Lifted, the Q-values and the sweep on the orbit rows are within
+    1e-12 of those over the scalar oracle's explicit kernel, along the
+    iteration from zero.  Each orbit's minimum Q is the minimum of its
+    ordered states' Q-values, which take exactly the orbit's Q-values."""
     model = ModelConfig(n, m, probs, 0.9)
     fast = build_truncated_mdp(model, cap)
     slow = build_truncated_mdp_scalar(model, cap)
-    values = np.zeros(len(slow.states))
+    values = np.zeros(len(fast.states))
     for _ in range(3):
-        assert q_table(fast, values).tobytes() == (
-            explicit_q(slow, values).tobytes()
-        )
-        want = explicit_sweep(slow, values)
-        assert bellman_update(fast, values).tobytes() == want.tobytes()
-        values = want
-    values = np.random.default_rng(7).uniform(0.0, 40.0, len(slow.states))
-    want = explicit_q(slow, values)
-    assert q_table(fast, values).tobytes() == want.tobytes()
-    want = explicit_sweep(slow, values)
-    assert bellman_update(fast, values).tobytes() == want.tobytes()
+        lifted = lift(fast, values).ravel()
+        table = ValueTable(values, 0, 0.0, (), 0.0)
+        _, q = lifted_q(fast, table, slow.states)
+        assert float(np.max(np.abs(q - explicit_q(slow, lifted)))) <= 1e-12
+        want = explicit_sweep(slow, lifted)
+        values = bellman_update(fast, values)
+        got = lift(fast, values).ravel()
+        assert float(np.max(np.abs(got - want))) <= 1e-12
+        assert got.tobytes() == np.minimum.reduceat(
+            q, slow.sa_offsets[:-1]
+        ).tobytes()
 
 
 def test_q_values_read_the_q_table():
+    """Every ordered state's Q-values are exactly its orbit's q_table
+    entries (each reached post-service orbit once), in
+    iter_joint_actions order."""
     model = ModelConfig.symmetric(3, 2, 0.3, 0.9)
     mdp = build_truncated_mdp(model, cap=3)
     table = value_iteration(mdp, tol=1e-10)
     q = q_table(mdp, table.values)
-    for i, state in enumerate(mdp.states):
+    for state in ordered_states(model, cap=3):
+        i = orbit_id(mdp, state)
         lo, hi = mdp.sa_offsets[i], mdp.sa_offsets[i + 1]
         got = q_values(mdp, table, state)
-        assert list(got) == list(mdp.state_actions(i))
-        assert list(got.values()) == q[lo:hi].tolist()
+        assert list(got) == list(iter_joint_actions(state))
+        assert set(got.values()) == set(q[lo:hi].tolist())
+
+
+def test_values_follow_a_relabelling_of_the_locations():
+    """Permuting the locations of an instance with two classes of equal
+    rate permutes its lifted values with them.  Moving a robot or a queue
+    across the classes changes the value."""
+    probs = (0.2, 0.5, 0.2, 0.5)
+    perm = (1, 3, 0, 2)  # new location j is old location perm[j]
+    new_of = {old: new for new, old in enumerate(perm)}
+    solved = []
+    for rates in (probs, tuple(probs[old] for old in perm)):
+        mdp = build_truncated_mdp(ModelConfig(4, 2, rates, 0.9), cap=3)
+        solved.append((mdp, value_iteration(mdp, tol=1e-11)))
+    (old_mdp, old), (new_mdp, new) = solved
+    model = old_mdp.config
+    for state in ordered_states(model, cap=3):
+        moved = SystemState(
+            tuple(new_of[loc] for loc in state.robots),
+            tuple(state.queues[old] for old in perm),
+        )
+        assert abs(
+            new.values[orbit_id(new_mdp, moved)]
+            - old.values[orbit_id(old_mdp, state)]
+        ) <= 1e-12
+    value = old.values[orbit_id(old_mdp, SystemState((0, 2), (0, 3, 0, 0)))]
+    across = old.values[orbit_id(old_mdp, SystemState((0, 2), (3, 0, 0, 0)))]
+    assert abs(value - across) > 1e-3
+    robot = old.values[orbit_id(old_mdp, SystemState((0, 1), (0, 3, 0, 0)))]
+    assert abs(value - robot) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "m,orbits,pin", [(2, 5880, 70.230355), (3, 7056, 92.673831)]
+)
+def test_exact_start_value_at_six_locations(m, orbits, pin):
+    """V*(start) of the six-location benchmark cell at alpha 0.2,
+    p = alpha * M / N, beta 0.99, cap 6: 3.5M and 14.1M ordered states
+    fit in 5,880 and 7,056 orbits."""
+    model = ModelConfig.symmetric(6, m, 0.2 * m / 6, 0.99)
+    mdp = build_truncated_mdp(model, cap=6)
+    assert len(mdp.states) == orbits
+    table = value_iteration(mdp, tol=1e-7)
+    start = table.values[orbit_id(mdp, initial_state(model))]
+    assert start == pytest.approx(pin, abs=1e-5)

@@ -1,5 +1,5 @@
-"""Mutation check: break the audit and the coupling harness on purpose and
-show that the tests notice.
+"""Mutation check: break the exact solver and the coupling harness on
+purpose and show that the tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
@@ -33,8 +33,21 @@ MUTANTS = [
     (
         "monotonicity compares against v - 1e9",
         "src/eslsim/mdp.py",
-        "reshape(len(mdp.states), n) < -tol",
-        "reshape(len(mdp.states), n) < -tol - 1e9",
+        "append=np.inf) < -tol for i in range(n)",
+        "append=np.inf) < -tol - 1e9 for i in range(n)",
+    ),
+    (
+        "audit reads W at the neighbouring orbit id",
+        "src/eslsim/mdp.py",
+        "q_sel = cost[sel, None] + beta * w[post]",
+        "q_sel = cost[sel, None] + beta * w[post - 1]",
+    ),
+    (
+        "canonical form sorts occupied and unoccupied queues as one multiset",
+        "src/eslsim/mdp.py",
+        "part = np.sort(keys[..., cols], axis=-1)",
+        "part = np.sort(keys[..., cols] % self.radix, axis=-1)"
+        " + self.radix * np.sort(keys[..., cols] // self.radix, axis=-1)",
     ),
     (
         "audit skips clause (c)",
@@ -46,11 +59,11 @@ MUTANTS = [
         "idle-not-strict fires only above a gap of 1.0",
         "src/eslsim/mdp.py",
         "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                alt_q = q.get(alt)\n"
-        "                if alt_q is not None and alt_q <= q_star + tie_tol:",
+        "                    alt_q = q.get(alt)\n"
+        "                    if alt_q is not None and alt_q <= q_star + tie_tol:",
         "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                alt_q = q.get(alt)\n"
-        "                if alt_q is not None and q_star - alt_q > 1.0:",
+        "                    alt_q = q.get(alt)\n"
+        "                    if alt_q is not None and q_star - alt_q > 1.0:",
     ),
     (
         "coupling._record_gap never raises",
