@@ -459,12 +459,13 @@ def read_verify(cfg: dict, path: str) -> tuple[dict, list[ModelConfig]]:
         models.append(model)
         if count_orbits(model, cap) > DEFAULT_STATE_BUDGET:
             raise StateSpaceTooLargeError(f"{key}: state space too large")
-        pairs = count_audit_pairs(model, cap, inst["margin"])
-        if pairs > AUDIT_BUDGET:
+        if count_audit_pairs(model, cap, inst["margin"], AUDIT_BUDGET) > (
+            AUDIT_BUDGET
+        ):
             raise ConfigError(
                 f"{key}: instance exceeds the joint-action enumeration "
-                f"budget: the audit would read {pairs:,} interior "
-                f"state-actions, more than {AUDIT_BUDGET:,}"
+                f"budget: the audit would read more than {AUDIT_BUDGET:,} "
+                "interior state-actions"
             )
         floor = min_tolerance(model, cap)
         if inst["tol"] <= floor:

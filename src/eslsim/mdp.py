@@ -117,8 +117,7 @@ class TruncatedMdp:
     and travel; sa_cost[k] is the owning orbit's stage cost.  Orbit j owns
     the arrival row tr_offsets[j]:tr_offsets[j+1] in (tr_next, tr_prob):
     each next orbit once, with the summed probability of the arrival
-    patterns that reach it.  tr_terms is the most nonzero pattern
-    probabilities summed into one entry.
+    patterns that reach it.
     """
 
     config: ModelConfig
@@ -131,7 +130,6 @@ class TruncatedMdp:
     tr_offsets: np.ndarray
     tr_next: np.ndarray
     tr_prob: np.ndarray
-    tr_terms: int
     orbits: OrbitIndex
 
 
@@ -189,34 +187,29 @@ def count_orbits(config: ModelConfig, cap: int) -> int:
     )
 
 
-def count_audit_pairs(config: ModelConfig, cap: int, margin: int) -> int:
+def count_audit_pairs(
+    config: ModelConfig, cap: int, margin: int, limit: float = math.inf
+) -> int:
     """Ordered interior states times their feasible joint actions: the
     Q-values check_esl_optimality reads at this margin.
 
-    A joint's robots either stay (serve or idle where tasks wait, idle
-    where none do) or move to distinct locations other than their own and
-    the stayers'; the count of such moves of k robots into a locations
-    is an inclusion-exclusion over the robots sent home.
+    A state's joints depend only on its placement and on which robots hold
+    nonempty queues, and by symmetry only on how many do, so they are
+    enumerated once per count through iter_joint_actions.  Counting stops
+    once it passes limit, so a count above limit is a lower bound.
     """
     n, m = config.num_locations, config.num_robots
     top = cap - margin
-
-    def moves(k: int, a: int) -> int:
-        return sum(
-            (-1) ** j * math.comb(k, j) * math.perm(a - j, k - j)
-            for j in range(k + 1)
-        )
-
+    states = math.perm(n, m) * (top + 1) ** (n - m)
     pairs = 0
     for held in range(m + 1):  # robots on nonempty queues
-        joints = sum(
-            math.comb(held, s) * 2**s * math.comb(m - held, e)
-            * moves(m - s - e, n - s - e)
-            for s in range(held + 1)
-            for e in range(m - held + 1)
-        )
-        pairs += math.comb(m, held) * top**held * joints
-    return math.perm(n, m) * (top + 1) ** (n - m) * pairs
+        weight = states * math.comb(m, held) * top**held
+        probe = SystemState(tuple(range(m)), (1,) * held + (0,) * (n - held))
+        for _ in iter_joint_actions(probe):
+            pairs += weight
+            if pairs > limit:
+                return pairs
+    return pairs
 
 
 def _digits(base: int, n: int) -> np.ndarray:
@@ -366,7 +359,7 @@ def build_truncated_mdp(
     forced = np.array([p == 1.0 for p in probs])
     arrive = np.zeros((1 << len(branch), n), dtype=np.int64)
     arrive[:, branch] = list(itertools.product((0, 1), repeat=len(branch)))
-    row_lens, tr_next, tr_prob, tr_terms = [], [], [], 1
+    row_lens, tr_next, tr_prob = [], [], []
     for part in _chunks(size, len(arrive)):
         below = queues[part] < cap
         nxt = queues[part, None, :] + below[:, None, :] * (arrive + forced)
@@ -387,8 +380,6 @@ def build_truncated_mdp(
         starts = np.flatnonzero(new)
         tr_next.append(ids.ravel()[starts])
         tr_prob.append(np.add.reduceat(prob.ravel(), starts))
-        terms = np.add.reduceat((prob > 0).ravel().astype(np.int64), starts)
-        tr_terms = max(tr_terms, int(terms.max()))
         row_lens.append(new.sum(axis=1))
     return TruncatedMdp(
         config=config,
@@ -401,7 +392,6 @@ def build_truncated_mdp(
         tr_offsets=np.concatenate(([0], np.cumsum(np.concatenate(row_lens)))),
         tr_next=np.concatenate(tr_next),
         tr_prob=np.concatenate(tr_prob),
-        tr_terms=tr_terms,
         orbits=index,
     )
 
@@ -463,25 +453,31 @@ def bellman_update(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(q_table(mdp, values), mdp.sa_offsets[:-1])
 
 
-def _rounding(row_max: int, terms: int, n: int, beta: float) -> float:
-    """Relative float error of one sweep, carried through 1 / (1 - beta)."""
-    return (row_max + terms + n + 2) * np.finfo(np.float64).eps / 2 / (
-        1.0 - beta
-    )
+def _rounding(config: ModelConfig) -> float:
+    """Relative float error of one sweep, carried through 1 / (1 - beta).
+
+    One computed sweep is within (L + G + N + 2) * u * (max cost +
+    max |T v|) of the exact one, L the longest arrival row, G the most
+    pattern products merged into one probability, N the locations and u
+    the unit roundoff (products, row sums, the merge, the probabilities'
+    N factors and the scaled add).  L and G are at most 2^B, B the
+    locations with 0 < p < 1.
+    """
+    fan = 2 ** sum(0.0 < p < 1.0 for p in config.arrival_probs)
+    return (2 * fan + config.num_locations + 2) * np.finfo(
+        np.float64
+    ).eps / 2 / (1.0 - config.discount)
 
 
 def min_tolerance(config: ModelConfig, cap: int) -> float:
     """The smallest tol that value_iteration can honour on this instance:
     twice the rounding allowance of its error_bound, bounded before
-    solving.  Rows and merged entries hold at most 2^B patterns, B the
-    locations with 0 < p < 1, and every |T v| is at most
-    max cost / (1 - beta).  Above it the returned error_bound stays below
-    tol; below it the float sweep can stall short of MacQueen's band."""
-    beta = config.discount
-    fan = 2 ** sum(0.0 < p < 1.0 for p in config.arrival_probs)
+    solving: every |T v| is at most max cost / (1 - beta).  Above it the
+    returned error_bound stays below tol; below it the float sweep can
+    stall short of MacQueen's band."""
     max_cost = config.num_locations * cap
-    return 2 * _rounding(fan, fan, config.num_locations, beta) * max_cost * (
-        1.0 + 1.0 / (1.0 - beta)
+    return 2 * _rounding(config) * max_cost * (
+        1.0 + 1.0 / (1.0 - config.discount)
     )
 
 
@@ -497,16 +493,12 @@ def value_iteration(
     band is narrower than tol and returns its midpoint, which is within
     k * (max d - min d) / 2 < tol / 2 of the fixed point everywhere.
 
-    error_bound adds the rounding of float arithmetic to that half-width.
-    One computed sweep is within (L + G + N + 2) * u * (max cost +
-    max |T v|) of the exact one, L the longest arrival row, G = tr_terms
-    the most pattern products merged into one probability, N the
-    locations and u the unit roundoff (products, row sums, the merge, the
-    probabilities' N factors and the scaled add), and the bounds carry
-    that error times 1 / (1 - beta).  The allowance matters only at large
-    beta and a tol near the rounding floor (min_tolerance); there a float
-    fixed point of the sweep can stop the iteration with d = 0 while the
-    values still differ from the fixed point.
+    error_bound adds the rounding of float arithmetic to that half-width:
+    _rounding's relative error times max cost + max |T v|.  The allowance
+    matters only at large beta and a tol near the rounding floor
+    (min_tolerance); there a float fixed point of the sweep can stop the
+    iteration with d = 0 while the values still differ from the fixed
+    point.
 
     residual_history keeps the sup-norm of d for each sweep.  Raises
     ConvergenceError when max_sweeps pass without the band closing.
@@ -515,12 +507,7 @@ def value_iteration(
         raise ValueError("tolerance must be positive")
     beta = mdp.config.discount
     k = beta / (1.0 - beta)
-    rounding = _rounding(
-        int(np.diff(mdp.tr_offsets).max()),
-        mdp.tr_terms,
-        mdp.config.num_locations,
-        beta,
-    )
+    rounding = _rounding(mdp.config)
     max_cost = float(mdp.sa_cost.max())
     values = np.zeros(len(mdp.states))
     history: list[float] = []
@@ -717,6 +704,31 @@ def _robot_deviations(state: SystemState, robot: int):
             yield RobotAction(SWITCH, dest)
 
 
+def _arrangements(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of a multiset, in lexicographic order."""
+    if not values:
+        return [()]
+    out = []
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        out.extend((v,) + tail for tail in _arrangements(tuple(rest)))
+    return out
+
+
+def _members(mdp: TruncatedMdp, keys: np.ndarray) -> np.ndarray:
+    """Key vectors of an orbit's ordered states, up to the order of the
+    robots: every arrangement of its representative's keys within each
+    rate class."""
+    classes = mdp.orbits.classes
+    per_class = [_arrangements(tuple(keys[cols].tolist())) for cols in classes]
+    out = np.empty((math.prod(map(len, per_class)), len(keys)), np.int64)
+    for row, parts in enumerate(itertools.product(*per_class)):
+        for cols, part in zip(classes, parts):
+            out[row, cols] = part
+    return out
+
+
 def monotonicity_violations(
     mdp: TruncatedMdp, table: ValueTable, tol: float = 1e-9
 ) -> list[tuple[SystemState, int]]:
@@ -725,32 +737,42 @@ def monotonicity_violations(
 
     The optimal cost must be coordinate-wise non-decreasing in the queue
     vector; returns the (state, location) pairs that break that by more
-    than tol on the lifted grid, in ordered state id then location order.
-    An ordered state dips exactly where its orbit's representative does
-    at the relabelled location, so the grid, count_states values, is
-    lifted only when some representative dips.
+    than tol, in ordered state id then location order.  A relabelling
+    maps an ordered state's dips onto its orbit representative's, so only
+    the orbits whose representative dips have their ordered states listed
+    and checked.
     """
     n, radix = mdp.config.num_locations, mdp.cap + 1
-    below = mdp.states % radix < mdp.cap
-    for i in range(n):
-        bumped = mdp.states.copy()
-        bumped[:, i] += below[:, i]
-        rise = table.values[mdp.orbits.ids(bumped)] - table.values
-        if (below[:, i] & (rise < -tol)).any():
-            break
-    else:
-        return []
-    grid = lift(mdp, table.values)
-    # the appended +inf keeps a queue at the cap from counting as a dip
-    dips = np.stack([
-        np.diff(grid, axis=1 + i, append=np.inf) < -tol for i in range(n)
-    ], axis=-1).reshape(-1, n)
-    placements = list(itertools.permutations(range(n), mdp.config.num_robots))
+
+    def dips(keys: np.ndarray) -> np.ndarray:
+        """Per key vector and location: a task added there lowers the
+        value by more than tol."""
+        below = keys % radix < mdp.cap
+        own = table.values[mdp.orbits.ids(keys)]
+        out = np.zeros(keys.shape, dtype=bool)
+        for i in range(n):
+            bumped = keys.copy()
+            bumped[:, i] += below[:, i]
+            rise = table.values[mdp.orbits.ids(bumped)] - own
+            out[:, i] = below[:, i] & (rise < -tol)
+        return out
+
     found = []
-    for s, i in np.argwhere(dips).tolist():
-        place, digits = divmod(s, radix**n)
-        queues = np.unravel_index(digits, (radix,) * n)
-        found.append(
-            (SystemState(placements[place], tuple(map(int, queues))), i)
-        )
-    return found
+    for orbit in np.flatnonzero(dips(mdp.states).any(axis=1)).tolist():
+        members = _members(mdp, mdp.states[orbit])
+        for keys, row in zip(members.tolist(), dips(members).tolist()):
+            queues = tuple(key % radix for key in keys)
+            occupied = [loc for loc, key in enumerate(keys) if key < radix]
+            locs = [loc for loc, dip in enumerate(row) if dip]
+            # itertools.permutations(range(n), m) lists placements in
+            # lexicographic order, so (placement, queues) sorts by state id
+            found.extend(
+                (placement, queues, locs)
+                for placement in itertools.permutations(occupied)
+            )
+    found.sort()
+    return [
+        (SystemState(placement, queues), loc)
+        for placement, queues, locs in found
+        for loc in locs
+    ]

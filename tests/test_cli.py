@@ -508,8 +508,8 @@ def test_verify_that_checks_nothing_is_rejected(
             [("locations: 2", "locations: 6"), ("robots: 1", "robots: 3"),
              ("cap: 5", "cap: 9")],
             "instances[0]: instance exceeds the joint-action enumeration "
-            "budget: the audit would read 5,736,468,480 interior "
-            "state-actions, more than 20,000,000",
+            "budget: the audit would read more than 20,000,000 interior "
+            "state-actions",
         ),
         ([("rule: esl", "rule: [esl]")], "rule: expected str"),
         ([("robots: 1", "robots: 3")], "instances[0].robots: "),

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scalar_mdp import build_truncated_mdp_scalar
 
+import eslsim.mdp as mdp_module
 from eslsim.mdp import min_tolerance
 
 from eslsim import (
@@ -166,6 +167,15 @@ def test_audit_pair_count_matches_enumeration(n, m, cap, margin):
         for queues in itertools.product(range(top + 1), repeat=n)
     )
     assert count_audit_pairs(model, cap, margin) == pairs
+    limit = pairs // 2
+    assert limit < count_audit_pairs(model, cap, margin, limit) <= pairs
+
+
+def test_audit_pair_count_stops_past_the_limit():
+    """Ten robots on ten locations: past the limit after a handful of
+    joints, not after scanning 11^10 menu products per count."""
+    model = ModelConfig.symmetric(10, 10, 0.1, 0.9)
+    assert count_audit_pairs(model, 2, 1, limit=20_000_000) > 20_000_000
 
 
 def test_kernel_rows_are_stochastic():
@@ -399,6 +409,42 @@ def test_monotonicity_flags_a_planted_dip():
     ]
 
 
+def test_monotonicity_lists_a_dip_without_lifting_the_grid(monkeypatch):
+    """(10, 2, cap 3) has 94M ordered states, a 750 MB lifted grid, in
+    1,650 orbits.  A dip planted at the orbit with queues 3 and 1 under the
+    robots and no task elsewhere is listed from that orbit's 180 ordered
+    states alone: each is reached from two states, one task short at
+    either robot's location."""
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("the ordered grid was lifted")
+
+    monkeypatch.setattr(mdp_module, "lift", no_lift)
+    n, cap = 10, 3
+    mdp = build_truncated_mdp(ModelConfig.symmetric(n, 2, 0.2, 0.9), cap)
+    assert count_states(mdp.config, cap) == 90 * 4**10
+    # the total queue: every added task raises it by one
+    values = (mdp.states % (cap + 1)).sum(axis=1).astype(np.float64)
+    table = ValueTable(values, 0, 0.0, (), 0.0)
+    assert monotonicity_violations(mdp, table) == []
+    dip = SystemState((0, 1), (3, 1) + (0,) * (n - 2))
+    values[orbit_id(mdp, dip)] -= 100.0
+    want = []
+    for placement in itertools.permutations(range(n), 2):
+        for held in ((3, 1), (1, 3)):
+            for loc in placement:
+                queues = [0] * n
+                for other, q in zip(placement, held):
+                    queues[other] = q
+                queues[loc] -= 1
+                want.append((placement, tuple(queues), loc))
+    assert len(want) == 360
+    assert monotonicity_violations(mdp, table) == [
+        (SystemState(placement, queues), loc)
+        for placement, queues, loc in sorted(want)
+    ]
+
+
 def test_value_iteration_guards():
     model = ModelConfig.symmetric(2, 1, 0.1, 0.9)
     mdp = build_truncated_mdp(model, cap=2)
@@ -529,13 +575,13 @@ def test_template_build_matches_scalar_oracle_fuzzed(n, m_draw, cap, probs):
 def test_bellman_update_matches_explicit_kernel(n, m, cap, probs):
     """Lifted, the Q-values and the sweep on the orbit rows are within
     1e-12 of those over the scalar oracle's explicit kernel, along the
-    iteration from zero.  Each orbit's minimum Q is the minimum of its
-    ordered states' Q-values, which take exactly the orbit's Q-values."""
+    iteration from zero and on a random orbit table, where orbits seldom
+    share a value.  Each orbit's minimum Q is the minimum of its ordered
+    states' Q-values, which take exactly the orbit's Q-values."""
     model = ModelConfig(n, m, probs, 0.9)
     fast = build_truncated_mdp(model, cap)
     slow = build_truncated_mdp_scalar(model, cap)
-    values = np.zeros(len(fast.states))
-    for _ in range(3):
+    def sweep_matches(values):
         lifted = lift(fast, values).ravel()
         table = ValueTable(values, 0, 0.0, (), 0.0)
         _, q = lifted_q(fast, table, slow.states)
@@ -547,6 +593,12 @@ def test_bellman_update_matches_explicit_kernel(n, m, cap, probs):
         assert got.tobytes() == np.minimum.reduceat(
             q, slow.sa_offsets[:-1]
         ).tobytes()
+        return values
+
+    values = np.zeros(len(fast.states))
+    for _ in range(3):
+        values = sweep_matches(values)
+    sweep_matches(np.random.default_rng(7).uniform(0.0, 40.0, len(values)))
 
 
 def test_q_values_read_the_q_table():

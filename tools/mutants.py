@@ -33,8 +33,8 @@ MUTANTS = [
     (
         "monotonicity compares against v - 1e9",
         "src/eslsim/mdp.py",
-        "append=np.inf) < -tol for i in range(n)",
-        "append=np.inf) < -tol - 1e9 for i in range(n)",
+        "out[:, i] = below[:, i] & (rise < -tol)",
+        "out[:, i] = below[:, i] & (rise < -tol - 1e9)",
     ),
     (
         "audit reads W at the neighbouring orbit id",
