@@ -43,17 +43,18 @@ print("  this instance's interior only: at 3 locations, 2 robots and\n"
       "  p = 0.2, serve-longest is beaten at queues (1, 1, 3)")
 
 # Same machinery, wrong rule: chase the SHORTEST nonempty queue instead.
-# The audit flags every interior state where that choice is strictly
-# suboptimal, with the Q-value gap it pays.
+# The audit flags every interior orbit where that choice is strictly
+# suboptimal, with the Q-value gap it pays.  It checks one representative
+# per orbit; members counts the ordered states, mirror images of one
+# another, that fail the same way.
 model3 = ModelConfig.symmetric(3, 1, 0.3, 0.9)
 mdp3 = build_truncated_mdp(model3, cap=4)
 table3 = value_iteration(mdp3, tol=1e-10)
 bad = check_esl_optimality(
     mdp3, table3, margin=2, tie_tol=1e-9, rule=switch_to_shortest_decide
 )
-# The six violations are mirror images of one state and share one gap up
-# to float rounding, so show the first with the robot at location 1.
-print(f"switch-to-shortest audit: {len(bad)} violations, e.g.")
-example = next(v for v in bad if v.state.robots == (1,))
-print(f"  state {example.state}: {example.kind}, "
-      f"overpays by {example.gap:.4f}")
+print(f"switch-to-shortest audit: {sum(v.members for v in bad)} violations "
+      f"at {len(bad)} representative(s):")
+for v in bad:
+    print(f"  state {v.state} and its {v.members - 1} mirror images: "
+          f"{v.kind}, overpays by {v.gap:.4f}")

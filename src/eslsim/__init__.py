@@ -70,10 +70,8 @@ from .mdp import (
     bellman_update,
     build_truncated_mdp,
     check_esl_optimality,
-    count_audit_pairs,
     count_orbits,
     count_states,
-    lift,
     monotonicity_violations,
     orbit_id,
     q_table,

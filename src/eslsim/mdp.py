@@ -22,13 +22,16 @@ W[post] = E[V(next)] and a sweep takes each orbit's minimum of
 cost + beta * W[post].  Value iteration stops on MacQueen's bounds, which
 certify the error of the values it returns.
 
-Ordered states are read through orbit_id (an ordered state's orbit) and
-lift (an orbit table on the ordered placement x queue-digit grid).
+Ordered states are read through orbit_id (an ordered state's orbit).
 tests/scalar_mdp.py keeps the explicit kernel over ordered states as the
-oracle: lifted values and Q-values match it within 1e-12.  The optimality
-audit walks the ordered interior (all queues at least `margin` below the
-cap, so boundary distortion from dropped arrivals cannot leak in) and reads
-each joint action's Q as cost + beta * W[orbit(post)].
+oracle: values and Q-values read through orbit_id match it within 1e-12.
+The optimality audit and the monotonicity check work on orbits too: a
+verdict at an ordered state is its orbit's, so each checks one
+representative per orbit and reports how many ordered states it stands
+for.  The audit walks the interior orbits (all queues at least `margin`
+below the cap, so boundary distortion from dropped arrivals cannot leak
+in) and reads each joint action's Q as cost + beta * W[orbit(post)];
+tests/ordered_audit.py keeps the audit over ordered states as its oracle.
 """
 
 from __future__ import annotations
@@ -185,36 +188,6 @@ def count_orbits(config: ModelConfig, cap: int) -> int:
         )
         for split in _splits(classes, config.num_robots)
     )
-
-
-def count_audit_pairs(
-    config: ModelConfig, cap: int, margin: int, limit: float = math.inf
-) -> int:
-    """Ordered interior states times their feasible joint actions: the
-    Q-values check_esl_optimality reads at this margin.
-
-    A state's joints depend only on its placement and on which robots hold
-    nonempty queues, and by symmetry only on how many do, so they are
-    enumerated once per count through iter_joint_actions.  Counting stops
-    once it passes limit, so a count above limit is a lower bound.
-    """
-    n, m = config.num_locations, config.num_robots
-    top = cap - margin
-    states = math.perm(n, m) * (top + 1) ** (n - m)
-    pairs = 0
-    for held in range(m + 1):  # robots on nonempty queues
-        weight = states * math.comb(m, held) * top**held
-        probe = SystemState(tuple(range(m)), (1,) * held + (0,) * (n - held))
-        for _ in iter_joint_actions(probe):
-            pairs += weight
-            if pairs > limit:
-                return pairs
-    return pairs
-
-
-def _digits(base: int, n: int) -> np.ndarray:
-    """Every length-n digit vector in itertools.product order."""
-    return np.indices((base,) * n).reshape(n, -1).T
 
 
 def _orbit_index(
@@ -414,25 +387,6 @@ def orbit_id(mdp: TruncatedMdp, state: SystemState) -> int:
     return int(_ids(mdp, queues, occupied))
 
 
-def lift(mdp: TruncatedMdp, per_orbit: np.ndarray) -> np.ndarray:
-    """per_orbit on the ordered grid: axis 0 the placement, in
-    itertools.permutations order, axis 1 + i the length of queue i.
-    Flattened, its index is the ordered state id, placement-major with the
-    queues read as base-(cap+1) digits, location 0 most significant."""
-    n, m, radix = mdp.config.num_locations, mdp.config.num_robots, mdp.cap + 1
-    queues = _digits(radix, n)
-    grid = np.empty((math.perm(n, m), len(queues)), dtype=per_orbit.dtype)
-    by_set: dict[tuple[int, ...], np.ndarray] = {}
-    for i, placement in enumerate(itertools.permutations(range(n), m)):
-        occupied = tuple(sorted(placement))
-        if occupied not in by_set:
-            flags = np.zeros(n, dtype=bool)
-            flags[list(occupied)] = True
-            by_set[occupied] = per_orbit[_ids(mdp, queues, flags)]
-        grid[i] = by_set[occupied]
-    return grid.reshape((-1,) + (radix,) * n)
-
-
 def expected_values(mdp: TruncatedMdp, values: np.ndarray) -> np.ndarray:
     """W[j] = E[v(next)] over orbit j's arrival row."""
     return np.add.reduceat(
@@ -548,29 +502,65 @@ def _moves(placement, joints, n: int) -> tuple[np.ndarray, np.ndarray]:
     return served, ends
 
 
+def _q_row(
+    mdp: TruncatedMdp, w: np.ndarray, state: SystemState
+) -> dict[JointAction, float]:
+    """Q(a) = stage cost + beta * w[orbit(post)] for every feasible joint
+    of an ordered state, in iter_joint_actions order, w the expected next
+    value per post-service orbit (expected_values)."""
+    joints = list(iter_joint_actions(state))
+    served, ends = _moves(state.robots, joints, mdp.config.num_locations)
+    post = _ids(mdp, np.array(state.queues) - served, ends)
+    q = float(sum(state.queues)) + mdp.config.discount * w[post]
+    return dict(zip(joints, q.tolist()))
+
+
 def q_values(
     mdp: TruncatedMdp, table: ValueTable, state: SystemState
 ) -> dict[JointAction, float]:
     """Q(a) = stage cost + beta * E[V(next)] for every feasible joint of an
     ordered state, in iter_joint_actions order, read as
     cost + beta * W[orbit(post)]."""
-    joints = list(iter_joint_actions(state))
-    served, ends = _moves(state.robots, joints, mdp.config.num_locations)
-    post = _ids(mdp, np.array(state.queues) - served, ends)
-    w = expected_values(mdp, table.values)
-    q = float(sum(state.queues)) + mdp.config.discount * w[post]
-    return dict(zip(joints, q.tolist()))
+    return _q_row(mdp, expected_values(mdp, table.values), state)
+
+
+def _representative(mdp: TruncatedMdp, keys: np.ndarray) -> SystemState:
+    """The ordered state standing for the orbit with these canonical keys:
+    their queues, with the robots on the occupied locations in ascending
+    order."""
+    radix = mdp.cap + 1
+    return SystemState(
+        tuple(np.flatnonzero(keys < radix).tolist()),
+        tuple((keys % radix).tolist()),
+    )
+
+
+def _orbit_size(mdp: TruncatedMdp, keys: np.ndarray) -> int:
+    """The ordered states in the orbit with these canonical keys: the m!
+    orders of the robots times, per rate class, the distinct arrangements
+    of the class's keys over its locations, which is C(|c|, k) times the
+    multinomials of its occupied and of its unoccupied queues."""
+    size = math.factorial(mdp.config.num_robots)
+    for cols in mdp.orbits.classes:
+        _, mults = np.unique(keys[cols], return_counts=True)
+        size *= math.factorial(len(cols)) // math.prod(
+            math.factorial(k) for k in mults.tolist()
+        )
+    return size
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed optimality comparison at one interior state."""
+    """One failed optimality comparison at an orbit's representative.
+    members counts the orbit's ordered states, each of which fails the
+    matching comparison by the same gap."""
 
     state: SystemState
     kind: str
     gap: float
     robot: int | None = None
     alternative: JointAction | None = None
+    members: int = 1
 
 
 def check_esl_optimality(
@@ -582,116 +572,113 @@ def check_esl_optimality(
 ) -> list[Violation]:
     """Audit the serve-longest rule against the exact Q-values.
 
-    Walks the ordered interior states, placement-major with the queues in
-    itertools.product order.  A joint action's Q is cost +
+    A verdict at an ordered state is its orbit's: relabelling the
+    locations maps the Q-values, the rule's post-service orbit and every
+    single-robot deviation onto the matching ones at any other member.  So
+    the audit walks the interior orbits in id order and checks each at its
+    representative (_representative).  A joint action's Q is cost +
     beta * W[orbit(post)], W the solved values' expected next value per
     post-service orbit, and the minimum Q at a state is its orbit's own
-    minimum, the sweep's.  The feasible joints come from one template per
-    (placement, mask of robots on nonempty queues).  At every interior
-    state the rule's joint action must (a) attain the minimum Q up to
-    tie_tol, (b) for each robot with local work, beat every single-robot
-    deviation to idle or switch strictly, and (c) for each robot the rule
-    sends to a queue, beat both idling and switching to any strictly
-    shorter nonempty queue.  Equal-length targets may tie (the arrival
-    rates are symmetric in the instances we check), which is why only
-    strictly shorter targets are compared.  Returns all failures; empty
-    list means the rule passed.
+    minimum, the sweep's.  At every interior representative the rule's
+    joint action must (a) attain the minimum Q up to tie_tol, (b) for each
+    robot with local work, beat every single-robot deviation to idle or
+    switch strictly, and (c) for each robot the rule sends to a queue, beat
+    both idling and switching to any strictly shorter nonempty queue.
+    Equal-length targets may tie (the arrival rates are symmetric in the
+    instances we check), which is why only strictly shorter targets are
+    compared.  Returns all failures, each with its orbit's members, so
+    sum(v.members) counts them over the ordered interior; an empty list
+    means the rule passed.
+
+    The rule must choose by queue length, as esl and switch-shortest do.
+    Raises ValueError for an instance with more than one rate class:
+    there esl's index tie-break between equal-length targets in different
+    classes reaches different orbits.
     """
     if margin < 1 or margin >= mdp.cap:
         raise ValueError("margin must satisfy 1 <= margin < cap")
-    n, m = mdp.config.num_locations, mdp.config.num_robots
-    beta = mdp.config.discount
+    if len(mdp.orbits.classes) > 1:
+        raise ValueError(
+            "the orbit audit needs one rate class: with several, ties "
+            "between equal-length targets reach different orbits"
+        )
+    n = mdp.config.num_locations
     w = expected_values(mdp, table.values)
-    orbit_min = bellman_update(mdp, table.values)
-    interior = _digits(mdp.cap - margin + 1, n)
-    cost = interior.sum(axis=1).astype(np.float64)
-    bits = 1 << np.arange(m, dtype=np.int64)
+    orbit_min = bellman_update(mdp, table.values).tolist()
+    interior = (mdp.states % (mdp.cap + 1) <= mdp.cap - margin).all(axis=1)
     violations: list[Violation] = []
-    for placement in itertools.permutations(range(n), m):
-        occupied = np.zeros(n, dtype=bool)
-        occupied[list(placement)] = True
-        own_min = orbit_min[_ids(mdp, interior, occupied)].tolist()
-        held = interior[:, list(placement)] > 0
-        masks = held @ bits
-        rows: list = [None] * len(interior)
-        for mask in np.unique(masks).tolist():
-            sel = np.flatnonzero(masks == mask)
-            probe = [0] * n
-            for r, loc in enumerate(placement):
-                probe[loc] = mask >> r & 1
-            joints = list(
-                iter_joint_actions(SystemState(placement, tuple(probe)))
+    for s in np.flatnonzero(interior).tolist():
+        state = _representative(mdp, mdp.states[s])
+        queues = state.queues
+        members = _orbit_size(mdp, mdp.states[s])
+        q = _q_row(mdp, w, state)
+        chosen = rule(state)
+        if chosen not in q:
+            violations.append(
+                Violation(state, "rule-action-infeasible", math.inf,
+                          members=members)
             )
-            served, ends = _moves(placement, joints, n)
-            post = _ids(mdp, interior[sel, None, :] - served, ends)
-            q_sel = cost[sel, None] + beta * w[post]
-            for s, q_row in zip(sel.tolist(), q_sel.tolist()):
-                rows[s] = (joints, q_row)
-        for s, queues in enumerate(map(tuple, interior.tolist())):
-            state = SystemState(placement, queues)
-            q = dict(zip(*rows[s]))
-            chosen = rule(state)
-            if chosen not in q:
-                violations.append(
-                    Violation(state, "rule-action-infeasible", math.inf)
-                )
-                continue
-            q_star = q[chosen]
-            q_min = own_min[s]
-            if q_star > q_min + tie_tol:
-                violations.append(
-                    Violation(state, "not-argmin", q_star - q_min)
-                )
-            for r, loc in enumerate(placement):
-                here = chosen[r]
-                if queues[loc] > 0:
-                    # local work: serving must strictly beat leaving or idling
-                    for alt_act in _robot_deviations(state, r):
-                        alt = chosen[:r] + (alt_act,) + chosen[r + 1:]
-                        alt_q = q.get(alt)
-                        if alt_q is not None and alt_q <= q_star + tie_tol:
-                            violations.append(
-                                Violation(
-                                    state,
-                                    "serve-not-strict",
-                                    q_star - alt_q,
-                                    robot=r,
-                                    alternative=alt,
-                                )
-                            )
-                elif here.kind == SWITCH:
-                    target_len = queues[here.dest]
-                    alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]
+            continue
+        q_star = q[chosen]
+        q_min = orbit_min[s]
+        if q_star > q_min + tie_tol:
+            violations.append(
+                Violation(state, "not-argmin", q_star - q_min,
+                          members=members)
+            )
+        for r, loc in enumerate(state.robots):
+            here = chosen[r]
+            if queues[loc] > 0:
+                # local work: serving must strictly beat leaving or idling
+                for alt_act in _robot_deviations(state, r):
+                    alt = chosen[:r] + (alt_act,) + chosen[r + 1:]
                     alt_q = q.get(alt)
                     if alt_q is not None and alt_q <= q_star + tie_tol:
                         violations.append(
                             Violation(
                                 state,
-                                "idle-not-strict",
+                                "serve-not-strict",
                                 q_star - alt_q,
                                 robot=r,
                                 alternative=alt,
+                                members=members,
                             )
                         )
-                    for j in range(n):
-                        if j == loc or not 0 < queues[j] < target_len:
-                            continue
-                        alt = (
-                            chosen[:r]
-                            + (RobotAction(SWITCH, j),)
-                            + chosen[r + 1:]
+            elif here.kind == SWITCH:
+                target_len = queues[here.dest]
+                alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]
+                alt_q = q.get(alt)
+                if alt_q is not None and alt_q <= q_star + tie_tol:
+                    violations.append(
+                        Violation(
+                            state,
+                            "idle-not-strict",
+                            q_star - alt_q,
+                            robot=r,
+                            alternative=alt,
+                            members=members,
                         )
-                        alt_q = q.get(alt)
-                        if alt_q is not None and alt_q <= q_star + tie_tol:
-                            violations.append(
-                                Violation(
-                                    state,
-                                    "shorter-not-strict",
-                                    q_star - alt_q,
-                                    robot=r,
-                                    alternative=alt,
-                                )
+                    )
+                for j in range(n):
+                    if j == loc or not 0 < queues[j] < target_len:
+                        continue
+                    alt = (
+                        chosen[:r]
+                        + (RobotAction(SWITCH, j),)
+                        + chosen[r + 1:]
+                    )
+                    alt_q = q.get(alt)
+                    if alt_q is not None and alt_q <= q_star + tie_tol:
+                        violations.append(
+                            Violation(
+                                state,
+                                "shorter-not-strict",
+                                q_star - alt_q,
+                                robot=r,
+                                alternative=alt,
+                                members=members,
                             )
+                        )
     return violations
 
 
@@ -704,75 +691,28 @@ def _robot_deviations(state: SystemState, robot: int):
             yield RobotAction(SWITCH, dest)
 
 
-def _arrangements(values: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct orderings of a multiset, in lexicographic order."""
-    if not values:
-        return [()]
-    out = []
-    for v in sorted(set(values)):
-        rest = list(values)
-        rest.remove(v)
-        out.extend((v,) + tail for tail in _arrangements(tuple(rest)))
-    return out
-
-
-def _members(mdp: TruncatedMdp, keys: np.ndarray) -> np.ndarray:
-    """Key vectors of an orbit's ordered states, up to the order of the
-    robots: every arrangement of its representative's keys within each
-    rate class."""
-    classes = mdp.orbits.classes
-    per_class = [_arrangements(tuple(keys[cols].tolist())) for cols in classes]
-    out = np.empty((math.prod(map(len, per_class)), len(keys)), np.int64)
-    for row, parts in enumerate(itertools.product(*per_class)):
-        for cols, part in zip(classes, parts):
-            out[row, cols] = part
-    return out
-
-
 def monotonicity_violations(
     mdp: TruncatedMdp, table: ValueTable, tol: float = 1e-9
-) -> list[tuple[SystemState, int]]:
-    """Ordered states where adding one task at some location lowers the
-    value.
+) -> list[tuple[SystemState, int, int]]:
+    """Orbits where adding one task at some location lowers the value.
 
     The optimal cost must be coordinate-wise non-decreasing in the queue
-    vector; returns the (state, location) pairs that break that by more
-    than tol, in ordered state id then location order.  A relabelling
-    maps an ordered state's dips onto its orbit representative's, so only
-    the orbits whose representative dips have their ordered states listed
-    and checked.
+    vector.  A relabelling maps an ordered state's dips onto its orbit
+    representative's (_representative), so each orbit is checked there.
+    Returns (representative, location, members) for every location where
+    one more task lowers the value by more than tol, in orbit id then
+    location order; members counts the orbit's ordered states, each with
+    the matching dip, so the members sum to the ordered count.
     """
-    n, radix = mdp.config.num_locations, mdp.cap + 1
-
-    def dips(keys: np.ndarray) -> np.ndarray:
-        """Per key vector and location: a task added there lowers the
-        value by more than tol."""
-        below = keys % radix < mdp.cap
-        own = table.values[mdp.orbits.ids(keys)]
-        out = np.zeros(keys.shape, dtype=bool)
-        for i in range(n):
-            bumped = keys.copy()
-            bumped[:, i] += below[:, i]
-            rise = table.values[mdp.orbits.ids(bumped)] - own
-            out[:, i] = below[:, i] & (rise < -tol)
-        return out
-
-    found = []
-    for orbit in np.flatnonzero(dips(mdp.states).any(axis=1)).tolist():
-        members = _members(mdp, mdp.states[orbit])
-        for keys, row in zip(members.tolist(), dips(members).tolist()):
-            queues = tuple(key % radix for key in keys)
-            occupied = [loc for loc, key in enumerate(keys) if key < radix]
-            locs = [loc for loc, dip in enumerate(row) if dip]
-            # itertools.permutations(range(n), m) lists placements in
-            # lexicographic order, so (placement, queues) sorts by state id
-            found.extend(
-                (placement, queues, locs)
-                for placement in itertools.permutations(occupied)
-            )
-    found.sort()
+    keys, values = mdp.states, table.values
+    below = keys % (mdp.cap + 1) < mdp.cap
+    dips = np.zeros(keys.shape, dtype=bool)
+    for i in range(mdp.config.num_locations):
+        bumped = keys.copy()
+        bumped[:, i] += below[:, i]
+        rise = values[mdp.orbits.ids(bumped)] - values
+        dips[:, i] = below[:, i] & (rise < -tol)
     return [
-        (SystemState(placement, queues), loc)
-        for placement, queues, locs in found
-        for loc in locs
+        (_representative(mdp, keys[s]), i, _orbit_size(mdp, keys[s]))
+        for s, i in np.argwhere(dips).tolist()
     ]

@@ -409,8 +409,9 @@ def test_verify_fails_on_a_value_dip(tmp_path, capsys, monkeypatch):
     the audit passes.  The dip sits on the orbit of robot at 0, queues
     (5, 4), which also holds robot at 1, queues (4, 5): outside the
     interior and out of one slot's reach of it, so only the monotonicity
-    check can see it.  It flags (4, 4) and (5, 3) with the robot at 0, and
-    (4, 4) and (3, 5) with the robot at 1."""
+    check can see it.  It flags the orbits of (4, 4) and (5, 3) with the
+    robot at 0, which also hold (4, 4) and (3, 5) with the robot at 1: 4
+    ordered states."""
     solve = cli.value_iteration
 
     def dipped(mdp, tol):
@@ -431,17 +432,20 @@ def test_verify_fails_on_a_value_dip(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_flags_perverted_rule(tmp_path, capsys):
+    """switch-shortest fails at one orbit, listed once at its
+    representative; its 6 ordered states make the count."""
     cfg = write(tmp_path / "verify.yaml", VERIFY_MUTANT)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-    assert "optimality violations" in capsys.readouterr().err
+    assert "6 optimality violations" in capsys.readouterr().err
     payload = json.loads((out / "verify.json").read_text())
     assert payload["ok"] is False
     inst = payload["instances"][0]
-    assert inst["violation_count"] > 0
-    first = inst["violations"][0]
+    assert inst["violation_count"] == 6
+    [first] = inst["violations"]
     assert min(first["robots"]) >= 1  # serialized labels are 1-based
-    assert first["kind"]
+    assert first["members"] == 6
+    assert first["kind"] == "not-argmin"
 
 
 def test_verify_budget_exceeded(tmp_path, capsys):
@@ -505,11 +509,8 @@ def test_verify_that_checks_nothing_is_rejected(
         ([("tol: 1.0e-10", "tol: -1.0")], "instances[0].tol: "),
         ([("tol: 1.0e-10", "tie_tol: -1.0")], "instances[0].tie_tol: "),
         (
-            [("locations: 2", "locations: 6"), ("robots: 1", "robots: 3"),
-             ("cap: 5", "cap: 9")],
-            "instances[0]: instance exceeds the joint-action enumeration "
-            "budget: the audit would read more than 20,000,000 interior "
-            "state-actions",
+            [("margin: 2", "margin: 0")],
+            "instances[0].margin: expected an integer >= 1, got 0",
         ),
         ([("rule: esl", "rule: [esl]")], "rule: expected str"),
         ([("robots: 1", "robots: 3")], "instances[0].robots: "),
@@ -554,27 +555,29 @@ def test_verify_keys_checked(tmp_path, capsys, edits, message):
     assert not (out / "verify.json").exists()
 
 
-def test_audit_caps_checked_before_solving(tmp_path, capsys, monkeypatch):
-    """An instance whose audit would read more interior state-actions than
-    the budget exits 2 before any instance is built, not after the
-    instances ahead of it are solved."""
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("an instance was built")
-
-    monkeypatch.setattr(cli, "build_truncated_mdp", no_build)
+def test_verify_reaches_six_locations_and_three_robots(tmp_path, capsys):
+    """(6, 3) at cap 6, margin 3: 491,520 ordered interior states in 400
+    interior orbits.  Serve-longest fails at 7 of them, which stand for
+    19,440 ordered violations: 5,400 not-argmin and 14,040
+    serve-not-strict."""
     text = VERIFY_OK.replace(
         "coupling:",
-        "  - {locations: 6, robots: 3, cap: 9, p: 0.1, margin: 2}\ncoupling:",
-    )
+        "  - {locations: 6, robots: 3, cap: 6, p: 0.1, beta: 0.99, "
+        "tol: 1.0e-7, margin: 3}\ncoupling:",
+    ).replace("seeds: 40", "seeds: 1")
     cfg = write(tmp_path / "verify.yaml", text)
     out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    assert (
-        f"{cfg}: instances[1]: instance exceeds the joint-action "
-        "enumeration budget" in capsys.readouterr().err
-    )
-    assert not out.exists()
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "19440 optimality violations" in capsys.readouterr().err
+    inst = json.loads((out / "verify.json").read_text())["instances"][1]
+    assert inst["solver_states"] == 7056
+    assert inst["violation_count"] == 19440
+    counts = {}
+    for v in inst["violations"]:
+        counts[v["kind"]] = counts.get(v["kind"], 0) + v["members"]
+    assert counts == {"not-argmin": 5400, "serve-not-strict": 14040}
+    assert len({(tuple(v["robots"]), tuple(v["queues"]))
+                for v in inst["violations"]}) == 7
 
 
 def test_verify_audits_five_locations(tmp_path):

@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from ordered_audit import (
+    check_esl_optimality_ordered,
+    interior_states,
+    lift,
+    monotonicity_violations_ordered,
+)
 from scalar_mdp import build_truncated_mdp_scalar
 
 import eslsim.mdp as mdp_module
@@ -24,13 +30,11 @@ from eslsim import (
     bellman_update,
     build_truncated_mdp,
     check_esl_optimality,
-    count_audit_pairs,
     count_orbits,
     count_states,
     esl_decide,
     initial_state,
     iter_joint_actions,
-    lift,
     monotonicity_violations,
     orbit_id,
     q_table,
@@ -154,30 +158,6 @@ def test_orbit_count_formula(probs, cap, m):
         )
 
 
-@pytest.mark.parametrize(
-    "n,m,cap,margin",
-    [(2, 1, 4, 1), (3, 2, 4, 2), (3, 3, 3, 1), (4, 2, 3, 1), (4, 3, 4, 2)],
-)
-def test_audit_pair_count_matches_enumeration(n, m, cap, margin):
-    model = ModelConfig.symmetric(n, m, 0.2, 0.9)
-    top = cap - margin
-    pairs = sum(
-        len(list(iter_joint_actions(SystemState(placement, queues))))
-        for placement in itertools.permutations(range(n), m)
-        for queues in itertools.product(range(top + 1), repeat=n)
-    )
-    assert count_audit_pairs(model, cap, margin) == pairs
-    limit = pairs // 2
-    assert limit < count_audit_pairs(model, cap, margin, limit) <= pairs
-
-
-def test_audit_pair_count_stops_past_the_limit():
-    """Ten robots on ten locations: past the limit after a handful of
-    joints, not after scanning 11^10 menu products per count."""
-    model = ModelConfig.symmetric(10, 10, 0.1, 0.9)
-    assert count_audit_pairs(model, 2, 1, limit=20_000_000) > 20_000_000
-
-
 def test_kernel_rows_are_stochastic():
     # rates include the 0 and 1 edge cases on purpose
     model = ModelConfig(3, 2, (0.3, 0.0, 1.0), 0.9)
@@ -263,6 +243,15 @@ def test_longer_queue_is_the_better_target():
     assert q[(switch_to(1),)] < q[(switch_to(2),)]
 
 
+def ordered_counts(violations):
+    """Findings per kind over ordered states: each representative's
+    findings weighted by its orbit's members."""
+    counts = Counter()
+    for v in violations:
+        counts[v.kind] += v.members
+    return counts
+
+
 def test_serve_longest_rule_passes_small_instance():
     model = ModelConfig.symmetric(2, 1, 0.1, 0.9)
     mdp = build_truncated_mdp(model, cap=5)
@@ -287,18 +276,20 @@ def test_checker_flags_serve_longest_past_queue_one(cap, margin):
     """Serve-longest is not optimal on (3, 2) once the audited interior
     reaches queues of 3: at robots (0, 1), queues (1, 1, 3), moving one
     robot to the 3-task queue beats serving by the same gap at either cap,
-    so the finding is not a truncation artifact."""
+    so the finding is not a truncation artifact.  That state stands for
+    its orbit's 6 ordered states, and no other orbit violates."""
     model = ModelConfig.symmetric(3, 2, 0.2, 0.9)
     mdp = build_truncated_mdp(model, cap=cap)
     table = value_iteration(mdp, tol=1e-10)
     violations = check_esl_optimality(mdp, table, margin=margin)
-    assert Counter(v.kind for v in violations) == {
+    assert ordered_counts(violations) == {
         "not-argmin": 6,
         "serve-not-strict": 12,
     }
     state = SystemState((0, 1), (1, 1, 3))
-    gaps = [v.gap for v in violations if v.state == state]
-    assert len(gaps) == 3
+    assert {v.state for v in violations} == {state}
+    assert [v.members for v in violations] == [6, 6, 6]
+    gaps = [v.gap for v in violations]
     assert all(gap == pytest.approx(0.165062, abs=1e-4) for gap in gaps)
     q = q_values(mdp, table, state)
     assert esl_decide(state) == (SERVE_ACTION, SERVE_ACTION)
@@ -330,12 +321,13 @@ def test_every_eligible_comparison_fires_at_huge_tie_tol(n, m, counts):
     tie, so each clause reports exactly the comparisons it is eligible
     for: serving robots against each single-robot idle or switch, and
     robots the rule sends to a queue against idling and against each
-    strictly shorter nonempty queue.  not-argmin cannot fire."""
+    strictly shorter nonempty queue.  not-argmin cannot fire.  The counts
+    are over ordered states: each orbit's findings times its members."""
     model = ModelConfig.symmetric(n, m, 0.2, 0.9)
     mdp = build_truncated_mdp(model, cap=4)
     table = value_iteration(mdp, tol=1e-10)
     violations = check_esl_optimality(mdp, table, margin=2, tie_tol=1e9)
-    assert Counter(v.kind for v in violations) == counts
+    assert ordered_counts(violations) == counts
 
 
 def test_residual_history_contracts_geometrically():
@@ -391,17 +383,23 @@ def test_value_monotone_in_queue_lengths():
 
 def test_monotonicity_flags_a_planted_dip():
     """Lowering one orbit's value below its neighbours' flags exactly the
-    ordered states one task short of its members, each at the location
-    whose bump lands on the dip, in state id order; the dip's own bumps
-    stay above.  The orbit of robot at 0, queues (2, 1) also holds robot
-    at 1, queues (1, 2)."""
+    orbits one task short of it, each at the location whose bump lands on
+    the dip, in orbit id order; the dip's own bumps stay above.  The orbit
+    of robot at 0, queues (2, 1) also holds robot at 1, queues (1, 2), and
+    each flagged orbit holds 2 ordered states: 4 ordered dips, as the
+    ordered listing finds."""
     model = ModelConfig.symmetric(2, 1, 0.2, 0.9)
     mdp = build_truncated_mdp(model, cap=4)
     table = value_iteration(mdp, tol=1e-10)
     values = table.values.copy()
     values[orbit_id(mdp, SystemState((0,), (2, 1)))] -= 100.0
     dipped = dataclasses.replace(table, values=values)
-    assert monotonicity_violations(mdp, dipped) == [
+    found = monotonicity_violations(mdp, dipped)
+    assert found == [
+        (SystemState((0,), (2, 0)), 1, 2),
+        (SystemState((0,), (1, 1)), 0, 2),
+    ]
+    assert monotonicity_violations_ordered(mdp, dipped) == [
         (SystemState((0,), (1, 1)), 0),
         (SystemState((0,), (2, 0)), 1),
         (SystemState((1,), (0, 2)), 0),
@@ -409,17 +407,12 @@ def test_monotonicity_flags_a_planted_dip():
     ]
 
 
-def test_monotonicity_lists_a_dip_without_lifting_the_grid(monkeypatch):
+def test_monotonicity_lists_a_dip_without_lifting_the_grid():
     """(10, 2, cap 3) has 94M ordered states, a 750 MB lifted grid, in
     1,650 orbits.  A dip planted at the orbit with queues 3 and 1 under the
-    robots and no task elsewhere is listed from that orbit's 180 ordered
-    states alone: each is reached from two states, one task short at
-    either robot's location."""
-
-    def no_lift(*args, **kwargs):
-        raise AssertionError("the ordered grid was lifted")
-
-    monkeypatch.setattr(mdp_module, "lift", no_lift)
+    robots and no task elsewhere is reached from 360 ordered states, one
+    task short at either robot's location.  They fall in two orbits of 180
+    ordered states each, which are reported once each with that count."""
     n, cap = 10, 3
     mdp = build_truncated_mdp(ModelConfig.symmetric(n, 2, 0.2, 0.9), cap)
     assert count_states(mdp.config, cap) == 90 * 4**10
@@ -429,7 +422,7 @@ def test_monotonicity_lists_a_dip_without_lifting_the_grid(monkeypatch):
     assert monotonicity_violations(mdp, table) == []
     dip = SystemState((0, 1), (3, 1) + (0,) * (n - 2))
     values[orbit_id(mdp, dip)] -= 100.0
-    want = []
+    want = Counter()
     for placement in itertools.permutations(range(n), 2):
         for held in ((3, 1), (1, 3)):
             for loc in placement:
@@ -437,12 +430,140 @@ def test_monotonicity_lists_a_dip_without_lifting_the_grid(monkeypatch):
                 for other, q in zip(placement, held):
                     queues[other] = q
                 queues[loc] -= 1
-                want.append((placement, tuple(queues), loc))
-    assert len(want) == 360
-    assert monotonicity_violations(mdp, table) == [
-        (SystemState(placement, queues), loc)
-        for placement, queues, loc in sorted(want)
+                state = SystemState(placement, tuple(queues))
+                want[orbit_id(mdp, state)] += 1
+    assert sum(want.values()) == 360
+    found = monotonicity_violations(mdp, table)
+    rest = (0,) * (n - 2)
+    assert found == [
+        (SystemState((0, 1), (1, 2) + rest), 1, 180),
+        (SystemState((0, 1), (0, 3) + rest), 0, 180),
     ]
+    assert {
+        orbit_id(mdp, state): members for state, _, members in found
+    } == want
+
+
+def assert_same_findings(got, want):
+    """Two lists of (kind, gap) are the same multiset, gaps within
+    1e-12."""
+    got, want = sorted(got), sorted(want)
+    assert [kind for kind, _ in got] == [kind for kind, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == b or abs(a - b) <= 1e-12
+
+
+def assert_orbit_audit_matches_ordered(mdp, table, margin, **kwargs):
+    """The orbit audit against the ordered oracle: the same violating
+    orbits; at every member of one, the representative's (kind, gap)
+    findings; each representative's members the number of ordered
+    interior states in its orbit; and per kind, the members summing to
+    the ordered count."""
+    orbit = check_esl_optimality(mdp, table, margin, **kwargs)
+    ordered = check_esl_optimality_ordered(mdp, table, margin, **kwargs)
+    at_orbit, at_state = {}, {}
+    for v in orbit:
+        at_orbit.setdefault(orbit_id(mdp, v.state), []).append(
+            (v.kind, v.gap)
+        )
+    for v in ordered:
+        at_state.setdefault(v.state, []).append((v.kind, v.gap))
+    assert set(at_orbit) == {orbit_id(mdp, state) for state in at_state}
+    members = Counter()
+    for placement, interior, ids in interior_states(mdp, margin):
+        for row in np.flatnonzero(np.isin(ids, list(at_orbit))).tolist():
+            state = SystemState(placement, tuple(interior[row].tolist()))
+            members[int(ids[row])] += 1
+            assert_same_findings(
+                at_state.get(state, []), at_orbit[int(ids[row])]
+            )
+    assert all(v.members == members[orbit_id(mdp, v.state)] for v in orbit)
+    assert ordered_counts(orbit) == Counter(v.kind for v in ordered)
+
+
+def assert_orbit_dips_match_ordered(mdp, table):
+    """The orbit dip listing against the ordered oracle: the same dipping
+    orbits; at every dipping ordered state, the representative's dips, by
+    the queue and occupancy at the dipping location; and per orbit, the
+    members summing to its ordered dips, so every member dips."""
+    orbit = monotonicity_violations(mdp, table)
+    ordered = monotonicity_violations_ordered(mdp, table)
+    at_orbit, weighted = {}, Counter()
+    for state, loc, members in orbit:
+        i = orbit_id(mdp, state)
+        at_orbit.setdefault(i, []).append(
+            (state.queues[loc], loc in state.robots)
+        )
+        weighted[i] += members
+    at_state = {}
+    for state, loc in ordered:
+        at_state.setdefault(state, []).append(
+            (state.queues[loc], loc in state.robots)
+        )
+    for state, found in at_state.items():
+        assert sorted(found) == sorted(at_orbit[orbit_id(mdp, state)])
+    assert Counter(orbit_id(mdp, state) for state, _ in ordered) == weighted
+    return orbit
+
+
+def planted_dip(mdp, table):
+    """table with the middle orbit's value lowered by 100."""
+    values = table.values.copy()
+    values[len(values) // 2] -= 100.0
+    return dataclasses.replace(table, values=values)
+
+
+@pytest.mark.parametrize(
+    "n,m,cap,p,beta,margin,tie_tol,rule",
+    [
+        # configs/verify.yaml and the verify-shipped workload
+        (2, 1, 6, 0.1, 0.9, 3, 1e-9, esl_decide),
+        (2, 1, 6, 0.3, 0.9, 3, 1e-9, esl_decide),
+        (3, 2, 4, 0.1, 0.9, 3, 1e-9, esl_decide),
+        (3, 2, 4, 0.3, 0.9, 3, 1e-9, esl_decide),
+        (3, 1, 4, 0.1, 0.9, 2, 1e-9, esl_decide),
+        # the solve-large workload
+        (4, 2, 5, 0.1, 0.9, 3, 1e-9, esl_decide),
+        # serve-longest beaten past queues of one
+        (3, 2, 7, 0.2, 0.9, 4, 1e-9, esl_decide),
+        (3, 2, 8, 0.2, 0.9, 5, 1e-9, esl_decide),
+        (4, 3, 5, 0.2, 0.9, 2, 1e-9, esl_decide),
+        # the wrong rule, and every eligible comparison a tie
+        (3, 1, 4, 0.1, 0.9, 2, 1e-9, switch_to_shortest_decide),
+        (3, 1, 4, 0.2, 0.9, 2, 1e9, esl_decide),
+        (4, 2, 4, 0.2, 0.9, 2, 1e9, esl_decide),
+        # a six-location benchmark cell: alpha 0.2, p = alpha * M / N
+        (6, 2, 6, 0.2 * 2 / 6, 0.99, 3, 1e-9, esl_decide),
+    ],
+)
+def test_orbit_audit_matches_ordered_oracle(
+    n, m, cap, p, beta, margin, tie_tol, rule
+):
+    """On the shipped, benchmark and pinned instances, the orbit audit
+    and dip listing agree with the ordered oracles, on the solved values
+    and with a dip planted."""
+    model = ModelConfig.symmetric(n, m, p, beta)
+    mdp = build_truncated_mdp(model, cap)
+    table = value_iteration(mdp, tol=1e-10 if beta < 0.99 else 1e-7)
+    assert_orbit_audit_matches_ordered(
+        mdp, table, margin, tie_tol=tie_tol, rule=rule
+    )
+    assert assert_orbit_dips_match_ordered(mdp, table) == []
+    assert assert_orbit_dips_match_ordered(mdp, planted_dip(mdp, table))
+
+
+def test_orbit_audit_refuses_several_rate_classes():
+    """With two rate classes, esl's index tie-break between equal-length
+    targets in different classes reaches different orbits, so the audit
+    refuses the instance.  The dip listing reads only values and runs:
+    its members count arrangements within each class."""
+    model = ModelConfig(4, 2, (0.2, 0.5, 0.2, 0.5), 0.9)
+    mdp = build_truncated_mdp(model, cap=3)
+    table = value_iteration(mdp, tol=1e-10)
+    with pytest.raises(ValueError, match="one rate class"):
+        check_esl_optimality(mdp, table, margin=1)
+    assert assert_orbit_dips_match_ordered(mdp, table) == []
+    assert assert_orbit_dips_match_ordered(mdp, planted_dip(mdp, table))
 
 
 def test_value_iteration_guards():
@@ -499,7 +620,8 @@ def explicit_value_iteration(mdp, sweeps):
 def lifted_q(mdp, table, states):
     """The orbit solver's Q at every ordered state-action, in the order of
     the states and of iter_joint_actions, with the joints."""
-    rows = [q_values(mdp, table, state) for state in states]
+    w = mdp_module.expected_values(mdp, table.values)
+    rows = [mdp_module._q_row(mdp, w, state) for state in states]
     joints = tuple(joint for row in rows for joint in row)
     return joints, np.array([q for row in rows for q in row.values()])
 

@@ -33,14 +33,14 @@ MUTANTS = [
     (
         "monotonicity compares against v - 1e9",
         "src/eslsim/mdp.py",
-        "out[:, i] = below[:, i] & (rise < -tol)",
-        "out[:, i] = below[:, i] & (rise < -tol - 1e9)",
+        "dips[:, i] = below[:, i] & (rise < -tol)",
+        "dips[:, i] = below[:, i] & (rise < -tol - 1e9)",
     ),
     (
-        "audit reads W at the neighbouring orbit id",
+        "Q read at a state takes W at the neighbouring orbit id",
         "src/eslsim/mdp.py",
-        "q_sel = cost[sel, None] + beta * w[post]",
-        "q_sel = cost[sel, None] + beta * w[post - 1]",
+        "q = float(sum(state.queues)) + mdp.config.discount * w[post]",
+        "q = float(sum(state.queues)) + mdp.config.discount * w[post - 1]",
     ),
     (
         "canonical form sorts occupied and unoccupied queues as one multiset",
@@ -59,11 +59,17 @@ MUTANTS = [
         "idle-not-strict fires only above a gap of 1.0",
         "src/eslsim/mdp.py",
         "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                    alt_q = q.get(alt)\n"
-        "                    if alt_q is not None and alt_q <= q_star + tie_tol:",
+        "                alt_q = q.get(alt)\n"
+        "                if alt_q is not None and alt_q <= q_star + tie_tol:",
         "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                    alt_q = q.get(alt)\n"
-        "                    if alt_q is not None and q_star - alt_q > 1.0:",
+        "                alt_q = q.get(alt)\n"
+        "                if alt_q is not None and q_star - alt_q > 1.0:",
+    ),
+    (
+        "orbit audit counts each violating orbit once",
+        "src/eslsim/mdp.py",
+        "members = _orbit_size(mdp, mdp.states[s])",
+        "members = 1",
     ),
     (
         "coupling._record_gap never raises",
