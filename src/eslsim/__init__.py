@@ -31,7 +31,6 @@ from .model import (
 from .policies import (
     POLICY_NAMES,
     AgeBookDesyncError,
-    CyclicPlan,
     CyclicPolicy,
     DegenerateRateError,
     EslPolicy,
@@ -44,6 +43,7 @@ from .policies import (
     fcfs_decide,
     make_policy,
     optimize_dwell,
+    patrol_blocks,
     resolve_dwell,
     switch_to_shortest_decide,
     tuned_dwell,

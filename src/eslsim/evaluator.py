@@ -9,7 +9,9 @@ numbers) no matter how their decisions differ.
 run_episode is the reference slot loop.  run_grid runs large groups of
 episodes through run_lockstep, which advances many episodes together as
 integer arrays and reproduces run_episode's metrics exactly.  Both engines
-draw arrivals with _draw_arrivals and build their metrics with _metrics.
+draw arrivals with _draw_arrivals, build each lane's policy with make_policy
+and their metrics with _metrics.  The cyclic patrol is a closed form in the
+slot index (policies.cyclic_decide), so its lockstep rule keeps no state.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ class ExperimentConfig:
             raise ValueError("horizon must be at least one slot")
         if self.episodes < 1:
             raise ValueError("episode count must be at least 1")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy name: {self.policy!r}")
+        make_policy(self.policy, self.model, **self.policy_params)
         if self.alpha is not None:
             m = self.model
             want = self.alpha * m.num_robots / m.num_locations
@@ -289,7 +290,7 @@ class LockstepLanes:
         np.add(self.queues, arrivals, out=self.queues)
 
 
-def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
+def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray, t: int):
     """esl_decide in every lane: robots on nonempty queues serve; the k-th
     remaining robot (by index) takes the k-th unoccupied nonempty location
     ordered by (-queue, index), and robots past the last target idle."""
@@ -308,33 +309,19 @@ def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
 
 
 def _cyclic_lockstep(group: Sequence[tuple[ExperimentConfig, int]]):
-    """cyclic_decide in every lane, with per-lane dwell: cursor and
-    counter arrays over the contiguous blocks of CyclicPlan.build."""
-    plans = [
-        make_policy(c.policy, c.model, **c.policy_params).plan
-        for c, _ in group
+    """cyclic_decide in every lane, with per-lane dwell: each robot's end
+    location is the closed form of the slot index, with the legs CyclicPolicy
+    reads from the start state."""
+    policies = [
+        make_policy(c.policy, c.model, **c.policy_params) for c, _ in group
     ]
-    blocks = plans[0].blocks
-    start = np.array([b[0] for b in blocks])
-    size = np.array([len(b) for b in blocks])
-    multi = size > 1
-    dwell = np.array([[plan.t_dwell] for plan in plans])
-    cursor = np.zeros((len(group), len(blocks)), dtype=np.int64)
-    counter = np.repeat(dwell, len(blocks), axis=1)
+    policies[0].reset(initial_state(group[0][0].model))
+    leads, starts, sizes = np.array(policies[0].legs).T
+    dwell = np.array([[policy.t_dwell] for policy in policies])
 
-    def decide(lanes: LockstepLanes, local: np.ndarray):
-        nonlocal cursor, counter
-        robots = lanes.robots
-        at_post = robots == start + cursor
-        dwelling = at_post & (~multi | (counter > 0))
-        advance = at_post & ~dwelling
-        counter = counter - (dwelling & multi)
-        if advance.any():
-            cursor = np.where(advance, (cursor + 1) % size, cursor)
-            counter = np.where(advance, dwell, counter)
-        return dwelling & (local > 0), np.where(
-            dwelling, robots, start + cursor
-        )
+    def decide(lanes: LockstepLanes, local: np.ndarray, t: int):
+        end = starts + (t + 1 - leads) // (dwell + 1) % sizes
+        return (end == lanes.robots) & (local > 0), end
 
     return decide
 
@@ -363,7 +350,7 @@ def _fcfs_lockstep(table: np.ndarray, num_robots: int):
     width = np.int64(2 * n)
     empty_key = np.iinfo(np.int64).max
 
-    def decide(lanes: LockstepLanes, local: np.ndarray):
+    def decide(lanes: LockstepLanes, local: np.ndarray, t: int):
         queues, robots, pos = lanes.queues, lanes.robots, lanes.pos
         nonempty = queues > 0
         waiting = nonempty.sum(axis=1)
@@ -431,10 +418,11 @@ def run_lockstep(
 
     The lanes must agree on N, M, discount, horizon and policy.  All lanes
     advance one slot per step as integer arrays, each decision rule is
-    vectorised across lanes, LockstepLanes.step checks feasibility every
-    slot, and the metrics are accumulated with the same float operations
-    in the same order as run_episode's slot loop and built by the same
-    _metrics, so each lane's EpisodeMetrics equals run_episode's exactly.
+    vectorised across lanes and given the slot index, LockstepLanes.step
+    checks feasibility every slot, and the metrics are accumulated with the
+    same float operations in the same order as run_episode's slot loop and
+    built by the same _metrics, so each lane's EpisodeMetrics equals
+    run_episode's exactly.
     """
     if not group:
         return []
@@ -463,7 +451,7 @@ def run_lockstep(
         discounted += weight * total
         weight *= beta
         queue_total_sum += total
-        serve, end = decide(lanes, lanes.local())
+        serve, end = decide(lanes, lanes.local(), t)
         serve_ct += serve
         switch_ct += end != lanes.robots
         lanes.step(serve, end, table[t])
@@ -623,9 +611,7 @@ def make_grid(
                 record = None
                 if name == "cyclic":
                     record = dwell_metadata(p, n_block, search_max)
-                    params["t_dwell"] = resolve_dwell(
-                        dwell, p, n_block, search_max, meta=record
-                    )
+                    params["t_dwell"] = resolve_dwell(dwell, record)
                 grid.append(
                     ExperimentConfig(
                         model=model,

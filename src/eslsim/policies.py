@@ -3,16 +3,16 @@ fixed-dwell cyclic patrol, plus dwell tuning for the cyclic family.
 
 All deciders return feasible joint actions for the state they are given;
 they never emit colliding moves.  The decide functions are pure: fcfs_decide
-reads the waiting tasks' arrival slots and cyclic_decide a patrol plan from
-their arguments.  FcfsPolicy and CyclicPolicy hold that bookkeeping for one
-episode, and reset starts it afresh.
+reads the waiting tasks' arrival slots from its arguments, and cyclic_decide
+the slot index, since a patrolling robot's location depends on the slot
+alone.  FcfsPolicy holds the waiting tasks for one episode and CyclicPolicy
+each robot's patrol leg; reset sets them from the start state.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -131,93 +131,46 @@ def fcfs_decide(
     return tuple(actions)
 
 
-@dataclass(frozen=True)
-class CyclicPlan:
-    """Patrol bookkeeping for the fixed-dwell cyclic policy.
-
-    Locations are split into contiguous blocks, one per robot.  cursors[r]
-    is the index within blocks[r] the robot is currently committed to;
-    counters[r] is how many dwell slots remain there.  Travel slots do not
-    consume dwell.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    t_dwell: int
-    cursors: tuple[int, ...]
-    counters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.t_dwell < 1:
-            raise ValueError("dwell must be at least one slot")
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("every robot needs a nonempty block")
-            for loc in block:
-                if loc in seen:
-                    raise ValueError("blocks must not overlap")
-                seen.add(loc)
-
-    def _moved(
-        self, cursors: tuple[int, ...], counters: tuple[int, ...]
-    ) -> "CyclicPlan":
-        """This plan at new cursors and counters.  The blocks and the dwell
-        were checked when the plan was made, so they are not walked again:
-        this is the per-slot update of cyclic_decide."""
-        plan = object.__new__(CyclicPlan)
-        plan.__dict__.update(self.__dict__, cursors=cursors, counters=counters)
-        return plan
-
-    @classmethod
-    def build(
-        cls, num_locations: int, num_robots: int, t_dwell: int
-    ) -> "CyclicPlan":
-        """Split 0..N-1 into contiguous, nearly equal blocks."""
-        sizes = [
-            num_locations // num_robots
-            + (1 if r < num_locations % num_robots else 0)
-            for r in range(num_robots)
-        ]
-        blocks = []
-        start = 0
-        for size in sizes:
-            blocks.append(tuple(range(start, start + size)))
-            start += size
-        return cls(
-            tuple(blocks), t_dwell, (0,) * num_robots, (t_dwell,) * num_robots
-        )
+def patrol_blocks(
+    num_locations: int, num_robots: int
+) -> list[tuple[int, int]]:
+    """(first location, size) of each robot's patrol block: 0..N-1 split
+    into contiguous, nearly equal blocks, the larger ones first."""
+    size, extra = divmod(num_locations, num_robots)
+    return [
+        (r * size + min(r, extra), size + (r < extra))
+        for r in range(num_robots)
+    ]
 
 
 def cyclic_decide(
-    state: SystemState, plan: CyclicPlan
-) -> tuple[JointAction, CyclicPlan]:
-    """One slot of fixed-dwell patrol; returns the action and updated plan.
+    state: SystemState,
+    now: int,
+    t_dwell: int,
+    legs: Sequence[tuple[int, int, int]],
+) -> JointAction:
+    """Slot now of fixed-dwell patrol; legs[r] is robot r's (lead, block
+    start, block size).
 
-    Each robot heads for the block location its cursor points at, dwells
-    there for t_dwell slots serving whatever is present (idling on empty
-    slots), then moves to the next location in its block.  A robot that
-    finds itself off its post, including at episode start, spends the slot
-    travelling there; block heads are distinct so those moves never collide.
+    Each robot stays t_dwell slots at each location of its block, serving
+    whatever is present (idling on empty slots), then spends one slot
+    travelling to the next.  lead is 1 when the robot began the episode off
+    its block head, whose first slot is then the trip there.  The patrol
+    never reads the queues, so a robot ends slot now at
+    start + (now + 1 - lead) // (t_dwell + 1) % size; it switches there if
+    it stands elsewhere.  Blocks are disjoint, so the ends are distinct and
+    the joint is feasible in any state.
     """
     robots, queues = state
+    period = t_dwell + 1
     actions: list[RobotAction] = []
-    cursors = list(plan.cursors)
-    counters = list(plan.counters)
-    for r, loc in enumerate(robots):
-        block = plan.blocks[r]
-        target = block[cursors[r]]
-        if loc != target:
-            actions.append(switch_to(target))
-        elif len(block) == 1:
-            actions.append(SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION)
-        elif counters[r] > 0:
-            actions.append(SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION)
-            counters[r] -= 1
+    for loc, (lead, start, size) in zip(robots, legs):
+        end = start + (now + 1 - lead) // period % size
+        if end != loc:
+            actions.append(switch_to(end))
         else:
-            cursors[r] = (cursors[r] + 1) % len(block)
-            counters[r] = plan.t_dwell
-            actions.append(switch_to(block[cursors[r]]))
-    return tuple(actions), plan._moved(tuple(cursors), tuple(counters))
+            actions.append(SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION)
+    return tuple(actions)
 
 
 def dwell_objective(p: float, n: int, total_time: float) -> float:
@@ -241,7 +194,7 @@ def dwell_objective(p: float, n: int, total_time: float) -> float:
 def block_size(num_locations: int, num_robots: int) -> int:
     """Locations in the largest patrol block, ceil(N / M): the block the
     cyclic dwell is tuned for."""
-    return -(-num_locations // num_robots)
+    return patrol_blocks(num_locations, num_robots)[0][1]
 
 
 def _dwell_scan(p: float, n: int, search_max: int) -> tuple[int, float]:
@@ -330,24 +283,17 @@ def tuned_dwell(p: float, n: int, search_max: int = 1000) -> int:
     return dwell_metadata(p, n, search_max)["floor_t"]
 
 
-def resolve_dwell(
-    rule, p: float, n: int, search_max: int = 1000, meta: dict | None = None
-) -> int:
+def resolve_dwell(rule, meta: dict) -> int:
     """Turn a dwell rule into whole slots: an integer is taken as-is,
     "tuned" floors the continuous argmin, "scan" scans integer dwells.
-    meta, when given, is dwell_metadata(p, n, search_max) already made,
-    so the rule is read from it instead of scanning again."""
+    meta is the cell's dwell_metadata record, which holds both."""
     if isinstance(rule, int) and not isinstance(rule, bool):
         if rule < 1:
             raise ValueError("fixed dwell must be at least one slot")
         return rule
     if rule == "tuned":
-        if meta is None:
-            return tuned_dwell(p, n, search_max)
         return meta["floor_t"]
     if rule == "scan":
-        if meta is None:
-            return optimize_dwell(p, n, search_max)
         return meta["scan_t"]
     raise ValueError(f"unknown dwell rule: {rule!r}")
 
@@ -395,22 +341,28 @@ class FcfsPolicy:
 
 
 class CyclicPolicy:
-    """Fixed-dwell patrol; owns the plan cursors for the episode."""
+    """Fixed-dwell patrol; reset reads each robot's leg of the patrol from
+    the start state."""
 
     name = "cyclic"
 
     def __init__(
         self, num_locations: int, num_robots: int, t_dwell: int
     ) -> None:
-        self._fresh = CyclicPlan.build(num_locations, num_robots, t_dwell)
-        self.plan = self._fresh
+        if t_dwell < 1:
+            raise ValueError("dwell must be at least one slot")
+        self.t_dwell = t_dwell
+        self.blocks = patrol_blocks(num_locations, num_robots)
+        self.legs = None
 
     def reset(self, state: SystemState) -> None:
-        self.plan = self._fresh
+        self.legs = tuple(
+            (int(loc != start), start, size)
+            for loc, (start, size) in zip(state.robots, self.blocks)
+        )
 
     def decide(self, state: SystemState, now: int) -> JointAction:
-        joint, self.plan = cyclic_decide(state, self.plan)
-        return joint
+        return cyclic_decide(state, now, self.t_dwell, self.legs)
 
     def observe(self, delta: SlotDelta, now: int) -> None:
         pass
@@ -419,28 +371,22 @@ class CyclicPolicy:
 def make_policy(name: str, model: ModelConfig, **params):
     """Instantiate a policy by its public name: esl, fcfs or cyclic.
 
-    cyclic accepts t_dwell (whole slots) and search_max; when t_dwell is
-    omitted the benchmark tuning (floored continuous argmin) is applied,
-    which requires a symmetric arrival vector.
+    cyclic needs t_dwell, its dwell in whole slots (make_grid tunes it);
+    esl and fcfs take no parameters.  An unknown name, an unknown
+    parameter or a missing t_dwell is a ValueError that names it.
     """
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy name: {name!r}")
+    allowed = {"t_dwell"} if name == "cyclic" else set()
+    unknown = sorted(params.keys() - allowed)
+    if unknown:
+        raise ValueError(f"{name} policy: unknown parameter {unknown[0]!r}")
     if name == "esl":
         return EslPolicy()
     if name == "fcfs":
         return FcfsPolicy(model.num_locations)
-    if name == "cyclic":
-        t_dwell = params.get("t_dwell")
-        if t_dwell is None:
-            if len(set(model.arrival_probs)) != 1:
-                raise ValueError(
-                    "automatic dwell tuning needs symmetric arrival rates"
-                )
-            t_dwell = resolve_dwell(
-                "tuned",
-                model.arrival_probs[0],
-                block_size(model.num_locations, model.num_robots),
-                params.get("search_max", 1000),
-            )
-        return CyclicPolicy(
-            model.num_locations, model.num_robots, int(t_dwell)
-        )
-    raise ValueError(f"unknown policy name: {name!r}")
+    if "t_dwell" not in params:
+        raise ValueError("cyclic policy: missing parameter 't_dwell'")
+    return CyclicPolicy(
+        model.num_locations, model.num_robots, params["t_dwell"]
+    )

@@ -11,13 +11,13 @@ import random
 import statistics
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from conftest import random_feasible_joint, random_state
 from eslsim import (
     SCENARIO_NAMES,
-    CyclicPlan,
     ExperimentConfig,
     ModelConfig,
     SystemState,
@@ -33,12 +33,16 @@ from eslsim import (
     make_scenario,
     make_grid,
     optimize_dwell,
+    patrol_blocks,
     run_episode,
     run_grid,
     step,
     value_iteration,
 )
+from eslsim.cli import RESULT_COLUMNS, _fmt, _write_csv
 from eslsim.cli import main as cli_main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,23 @@ def test_criterion_3_dominance_and_crossover(full_grid):
         < full_grid[(3, 0.8, "cyclic")].discounted_cost_mean
     )
     print("criterion 3: dominance and crossover hold in all cells")
+
+
+def test_full_grid_output_pinned(full_grid, tmp_path):
+    """The full grid's 18 rows, formatted as results.csv formats them,
+    equal the rows the cursor-and-counter patrol wrote."""
+    out = tmp_path / "results.csv"
+    _write_csv(
+        str(out),
+        RESULT_COLUMNS,
+        [
+            [_fmt(getattr(r, col)) for col in RESULT_COLUMNS]
+            for r in full_grid.values()
+        ],
+    )
+    assert out.read_bytes() == (
+        DATA / "benchmark_grid_results.csv"
+    ).read_bytes()
 
 
 def test_criterion_4_exact_optimality_audit():
@@ -195,16 +216,14 @@ def test_criterion_6_invariant_suites():
     for _ in range(100_000):
         n = rng.randint(2, 6)
         m = rng.randint(1, n)
+        legs = [
+            (rng.randint(0, 1), start, size)
+            for start, size in patrol_blocks(n, m)
+        ]
+        now = rng.randrange(10_000)
         t_dwell = rng.randint(1, 4)
-        built = CyclicPlan.build(n, m, t_dwell)
-        plan = CyclicPlan(
-            built.blocks,
-            t_dwell,
-            tuple(rng.randrange(len(b)) for b in built.blocks),
-            tuple(rng.randint(0, t_dwell) for _ in range(m)),
-        )
         s = random_state(rng, n, m)
-        assert is_feasible(s, cyclic_decide(s, plan)[0])
+        assert is_feasible(s, cyclic_decide(s, now, t_dwell, legs))
     print("criterion 6: 3e5 fuzzed decisions all feasible")
 
     # action fractions partition robot time within 1e-12

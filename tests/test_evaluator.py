@@ -12,6 +12,7 @@ from eslsim import (
     InsufficientReplicationsError,
     ModelConfig,
     aggregate,
+    dwell_metadata,
     esl_decide,
     initial_state,
     make_grid,
@@ -174,6 +175,19 @@ def test_experiment_config_validation():
     assert ok.symmetric_p == pytest.approx(0.2)
 
 
+def test_experiment_config_rejects_a_misspelled_dwell():
+    model = ModelConfig.symmetric(6, 2, 0.2, 0.99)
+    with pytest.raises(ValueError, match="unknown parameter 'tdwell'"):
+        ExperimentConfig(
+            model,
+            "cyclic",
+            horizon=10,
+            episodes=2,
+            base_seed=0,
+            policy_params={"tdwell": 2},
+        )
+
+
 def test_symmetric_p_flags_asymmetric_rates():
     model = ModelConfig(3, 1, (0.1, 0.2, 0.1), 0.9)
     cfg = ExperimentConfig(model, "esl", horizon=5, episodes=2, base_seed=0)
@@ -258,12 +272,13 @@ def test_parallel_matches_sequential():
 
 
 def test_resolve_dwell_rules():
-    assert resolve_dwell(4, 0.1, 2) == 4
-    assert resolve_dwell("tuned", 0.1, 2) == tuned_dwell(0.1, 2)
-    assert resolve_dwell("scan", 0.1, 2) == optimize_dwell(0.1, 2)
+    record = dwell_metadata(0.1, 2)
+    assert resolve_dwell(4, record) == 4
+    assert resolve_dwell("tuned", record) == tuned_dwell(0.1, 2)
+    assert resolve_dwell("scan", record) == optimize_dwell(0.1, 2)
     for bad in (0, True, "auto"):
         with pytest.raises(ValueError):
-            resolve_dwell(bad, 0.1, 2)
+            resolve_dwell(bad, record)
 
 
 def test_light_load_idles_more_than_it_switches():
@@ -397,8 +412,8 @@ def test_lockstep_checks_every_slot(monkeypatch):
     real = evaluator._esl_lockstep
     calls = []
 
-    def faulty(lanes, local):
-        serve, end = real(lanes, local)
+    def faulty(lanes, local, t):
+        serve, end = real(lanes, local, t)
         calls.append(None)
         if len(calls) == 37:
             end = end.copy()

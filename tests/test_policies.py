@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclic_oracle
 from conftest import random_state, system_states
 from eslsim import (
     IDLE_ACTION,
     SERVE_ACTION,
     SWITCH,
     AgeBookDesyncError,
-    CyclicPlan,
+    CyclicPolicy,
     DegenerateRateError,
     FcfsPolicy,
     ModelConfig,
@@ -25,14 +26,17 @@ from eslsim import (
     dwell_objective,
     esl_decide,
     fcfs_decide,
+    initial_state,
     is_feasible,
     make_policy,
     optimize_dwell,
+    patrol_blocks,
     step,
     switch_to,
     switch_to_shortest_decide,
     tuned_dwell,
 )
+from eslsim.policies import block_size
 
 
 def test_esl_sends_idle_robot_to_longest_free_queue():
@@ -169,20 +173,28 @@ def test_age_book_from_state_matches_queue_lengths():
     assert policy.decide(state, 0) == (SERVE_ACTION,)
 
 
+def legs_at(state, t_dwell=1):
+    """cyclic_decide's legs for an episode that starts at state, as
+    CyclicPolicy.reset reads them."""
+    policy = CyclicPolicy(len(state.queues), len(state.robots), t_dwell)
+    policy.reset(state)
+    return policy.legs
+
+
 def test_single_location_block_never_switches():
-    plan = CyclicPlan.build(2, 2, t_dwell=3)
     state = SystemState((0, 1), (2, 0))
-    for _ in range(8):
-        joint, plan = cyclic_decide(state, plan)
+    legs = legs_at(state)
+    for now in range(8):
+        joint = cyclic_decide(state, now, 3, legs)
         assert joint == (SERVE_ACTION, IDLE_ACTION)
 
 
 def test_dwell_then_travel_cadence_on_empty_block():
-    plan = CyclicPlan.build(3, 1, t_dwell=2)
     state = SystemState((0,), (0, 0, 0))
+    legs = legs_at(state)
     seen = []
-    for _ in range(6):
-        joint, plan = cyclic_decide(state, plan)
+    for now in range(6):
+        joint = cyclic_decide(state, now, 2, legs)
         seen.append(joint[0])
         state = step(state, joint, (0, 0, 0))[0]
     assert seen == [
@@ -196,36 +208,47 @@ def test_dwell_then_travel_cadence_on_empty_block():
 
 
 def test_serves_during_dwell_when_work_is_present():
-    plan = CyclicPlan.build(3, 1, t_dwell=2)
-    joint, _ = cyclic_decide(SystemState((0,), (4, 0, 0)), plan)
-    assert joint == (SERVE_ACTION,)
+    state = SystemState((0,), (4, 0, 0))
+    assert cyclic_decide(state, 0, 2, legs_at(state)) == (SERVE_ACTION,)
 
 
 def test_off_post_robot_travels_without_spending_dwell():
-    plan = CyclicPlan.build(4, 2, t_dwell=1)
     state = SystemState((3, 1), (1, 1, 1, 1))
-    joint, plan2 = cyclic_decide(state, plan)
+    legs = legs_at(state)
+    assert legs == ((1, 0, 2), (1, 2, 2))
+    joint = cyclic_decide(state, 0, 1, legs)
     assert joint == (switch_to(0), switch_to(2))
-    assert plan2.counters == plan.counters
+    # the trip took the first slot; the whole dwell follows it
+    state = step(state, joint, (0, 0, 0, 0))[0]
+    assert cyclic_decide(state, 1, 1, legs) == (SERVE_ACTION, SERVE_ACTION)
+    assert cyclic_decide(state, 2, 1, legs) == (switch_to(1), switch_to(3))
 
 
 def test_cyclic_ignores_queues_elsewhere():
-    plan = CyclicPlan.build(4, 1, t_dwell=2)
-    ja, _ = cyclic_decide(SystemState((0,), (0, 9, 0, 0)), plan)
-    jb, _ = cyclic_decide(SystemState((0,), (0, 0, 0, 99)), plan)
+    legs = legs_at(SystemState((0,), (0, 0, 0, 0)))
+    ja = cyclic_decide(SystemState((0,), (0, 9, 0, 0)), 0, 2, legs)
+    jb = cyclic_decide(SystemState((0,), (0, 0, 0, 99)), 0, 2, legs)
     assert ja == jb == (IDLE_ACTION,)
 
 
-def test_cyclic_plan_rejects_overlap_and_bad_dwell():
-    with pytest.raises(ValueError):
-        CyclicPlan(((0, 1), (1, 2)), 2, (0, 0), (2, 2))
-    with pytest.raises(ValueError):
-        CyclicPlan.build(3, 1, t_dwell=0)
+def test_cyclic_policy_rejects_bad_dwell():
+    with pytest.raises(ValueError, match="dwell"):
+        CyclicPolicy(3, 1, t_dwell=0)
+    model = ModelConfig.symmetric(3, 1, 0.2, 0.9)
+    with pytest.raises(ValueError, match="dwell"):
+        make_policy("cyclic", model, t_dwell=0)
 
 
 def test_block_partition_is_contiguous_and_covers():
-    plan = CyclicPlan.build(7, 3, t_dwell=1)
-    assert plan.blocks == ((0, 1, 2), (3, 4), (5, 6))
+    assert patrol_blocks(7, 3) == [(0, 3), (3, 2), (5, 2)]
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            blocks = patrol_blocks(n, m)
+            assert [start for start, _ in blocks] == [
+                sum(size for _, size in blocks[:r]) for r in range(m)
+            ]
+            assert sum(size for _, size in blocks) == n
+            assert blocks[0][1] == block_size(n, m) == -(-n // m)
 
 
 def test_cyclic_decisions_always_feasible():
@@ -233,17 +256,55 @@ def test_cyclic_decisions_always_feasible():
     for _ in range(300):
         n = rng.randint(2, 5)
         m = rng.randint(1, n)
-        t_dwell = rng.randint(1, 3)
-        base = CyclicPlan.build(n, m, t_dwell)
-        plan = CyclicPlan(
-            base.blocks,
-            t_dwell,
-            tuple(rng.randrange(len(b)) for b in base.blocks),
-            tuple(rng.randint(0, t_dwell) for _ in range(m)),
-        )
+        legs = [
+            (rng.randint(0, 1), start, size)
+            for start, size in patrol_blocks(n, m)
+        ]
         state = random_state(rng, n, m)
-        joint, _ = cyclic_decide(state, plan)
+        joint = cyclic_decide(state, rng.randrange(50), rng.randint(1, 3), legs)
         assert is_feasible(state, joint)
+
+
+def patrol_pairs(state, t_dwell, slots, rng, p=0.3):
+    """(closed form, oracle) joints along one episode from state, stepped
+    on the oracle's joints with Bernoulli(p) arrivals."""
+    n, m = len(state.queues), len(state.robots)
+    policy = CyclicPolicy(n, m, t_dwell)
+    policy.reset(state)
+    plan = cyclic_oracle.CyclicPlan.build(n, m, t_dwell)
+    for now in range(slots):
+        want, plan = cyclic_oracle.cyclic_decide(state, plan)
+        yield policy.decide(state, now), want
+        arrivals = tuple(int(rng.random() < p) for _ in range(n))
+        state = step(state, want, arrivals)[0]
+
+
+PATROL_GRID = [
+    (n, m, d) for n in range(1, 9) for m in range(1, n + 1) for d in range(1, 7)
+]
+
+
+def test_closed_form_matches_oracle_from_start():
+    """N <= 8, every M <= N, dwells 1-6, 400 slots from initial_state."""
+    rng = random.Random(5)
+    slots = 0
+    for n, m, d in PATROL_GRID:
+        start = initial_state(ModelConfig.symmetric(n, m, 0.3, 0.9))
+        for got, want in patrol_pairs(start, d, 400, rng):
+            assert got == want, (n, m, d)
+            slots += 1
+    assert slots == 86_400
+
+
+def test_closed_form_matches_oracle_from_random_starts():
+    """Two random start states per grid point, robots on or off their
+    block heads, 100 slots each."""
+    rng = random.Random(8)
+    for n, m, d in PATROL_GRID:
+        for _ in range(2):
+            start = random_state(rng, n, m)
+            for got, want in patrol_pairs(start, d, 100, rng):
+                assert got == want, (start, d)
 
 
 def test_dwell_objective_pinned_value():
@@ -314,14 +375,21 @@ def test_make_policy_names_and_params():
     model = ModelConfig.symmetric(6, 2, 0.1, 0.99)
     assert make_policy("esl", model).name == "esl"
     assert make_policy("fcfs", model).name == "fcfs"
-    assert make_policy("cyclic", model, t_dwell=5).plan.t_dwell == 5
+    assert make_policy("cyclic", model, t_dwell=5).t_dwell == 5
     with pytest.raises(ValueError):
         make_policy("lifo", model)
 
 
-def test_cyclic_auto_tuning_needs_symmetric_rates():
-    lopsided = ModelConfig(4, 2, (0.1, 0.2, 0.1, 0.1), 0.9)
-    with pytest.raises(ValueError):
-        make_policy("cyclic", lopsided)
-    sym = ModelConfig.symmetric(6, 2, 0.2 / 3, 0.99)
-    assert make_policy("cyclic", sym).plan.t_dwell == 7
+def test_make_policy_rejects_a_misnamed_cyclic_dwell():
+    model = ModelConfig.symmetric(6, 2, 0.1, 0.99)
+    with pytest.raises(ValueError, match="unknown parameter 'dwell'"):
+        make_policy("cyclic", model, dwell=2)
+    with pytest.raises(ValueError, match="missing parameter 't_dwell'"):
+        make_policy("cyclic", model)
+
+
+def test_make_policy_rejects_parameters_of_other_policies():
+    model = ModelConfig.symmetric(6, 2, 0.1, 0.99)
+    for name in ("esl", "fcfs"):
+        with pytest.raises(ValueError, match="unknown parameter 't_dwell'"):
+            make_policy(name, model, t_dwell=2)

@@ -1,5 +1,6 @@
-"""Mutation check: break the exact solver and the coupling harness on
-purpose and show that the tests notice.
+"""Mutation check: break the exact solver, the coupling harness, the
+lockstep episode engine and the cyclic patrol on purpose and show that the
+tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
@@ -24,8 +25,9 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-# the fast coupling tests first, so that -x stops a coupling mutant early
+# the fast tests first, so that -x stops most mutants early
 TESTS = ["tests/test_coupling.py", "tests/test_coupling_pin.py",
+         "tests/test_policies.py", "tests/test_evaluator.py",
          "tests/test_mdp.py"]
 
 # (name, file under the repo, text to replace, replacement)
@@ -118,6 +120,60 @@ MUTANTS = [
         "src/eslsim/coupling.py",
         "for t in range(tau + 1, tau + report.k + 1):",
         "for t in ():",
+    ),
+    (
+        "lockstep fcfs: ties no longer prefer a hosted location",
+        "src/eslsim/evaluator.py",
+        "key = stamps.take(cursor) * width + (host < 0) * n + tiebreak",
+        "key = stamps.take(cursor) * width + tiebreak",
+    ),
+    (
+        "lockstep esl: seekers take free queues in index order",
+        "src/eslsim/evaluator.py",
+        "np.where(free, -queues, 1)",
+        "np.where(free, 0, 1)",
+    ),
+    (
+        "lockstep fcfs: the walk stops one rank short",
+        "src/eslsim/evaluator.py",
+        "for k in range(num_robots):",
+        "for k in range(num_robots - 1):",
+    ),
+    (
+        "lockstep step: the collision check allows two robots on a location",
+        "src/eslsim/evaluator.py",
+        "np.bincount(pos.reshape(-1)).max() > 1",
+        "np.bincount(pos.reshape(-1)).max() > 2",
+    ),
+    (
+        "lockstep step: the range check lets an end sit one past the map",
+        "src/eslsim/evaluator.py",
+        "(end >= self.num_locations)",
+        "(end > self.num_locations)",
+    ),
+    (
+        "lockstep step: a robot may serve while it moves",
+        "src/eslsim/evaluator.py",
+        "bad = serve & ((local <= 0) | (end != self.robots))",
+        "bad = serve & (local <= 0)",
+    ),
+    (
+        "cyclic: a robot ends slot t where it should end slot t - 1",
+        "src/eslsim/policies.py",
+        "end = start + (now + 1 - lead) // period % size",
+        "end = start + (now - lead) // period % size",
+    ),
+    (
+        "cyclic: reset ignores a robot that starts off its block head",
+        "src/eslsim/policies.py",
+        "(int(loc != start), start, size)",
+        "(0, start, size)",
+    ),
+    (
+        "lockstep cyclic: serves any nonempty queue, moving or not",
+        "src/eslsim/evaluator.py",
+        "return (end == lanes.robots) & (local > 0), end",
+        "return local > 0, end",
     ),
 ]
 
