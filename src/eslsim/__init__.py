@@ -23,7 +23,6 @@ from .model import (
     is_feasible,
     iter_joint_actions,
     sample_arrivals,
-    stage_cost,
     step,
     switch_to,
     validate_state,
@@ -85,6 +84,7 @@ from .coupling import (
     ScenarioPreconditionError,
     check_gap_pattern,
     coupled_run,
+    coupled_runs,
     make_scenario,
     validate_scenario,
 )

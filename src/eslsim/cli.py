@@ -34,7 +34,8 @@ from . import __version__
 from .coupling import (
     SCENARIO_NAMES,
     check_gap_pattern,
-    coupled_run,
+    coupled_run,  # noqa: F401  bound here for perfbench/tracer.py
+    coupled_runs,
     make_scenario,
 )
 from .evaluator import (
@@ -523,8 +524,9 @@ def cmd_verify(args) -> int:
         uncoupled = 0
         first_problems: list[str] = []
         diffs = []
-        for seed in range(coupling["seeds"]):
-            report = coupled_run(scenario, coupling["horizon"], seed)
+        for report in coupled_runs(
+            scenario, coupling["horizon"], range(coupling["seeds"])
+        ):
             problems = check_gap_pattern(report)
             if problems:
                 failures += 1

@@ -29,21 +29,28 @@ serve their own location when it is nonempty and idle otherwise, behave
 identically in both systems, and must sit away from the locations the
 scenario manipulates.
 
-coupled_run holds the one paired slot loop.  Everything particular to a
-scenario (its default instance, precondition, scripted moves, meeting test
-and predicted gap shape) sits in one _Script subclass, looked up by code in
-_SCRIPTS.
+There are two engines with equal reports.  coupled_run is the readable
+paired slot loop, one seed at a time, and the reference the other is
+tested against.  coupled_runs, which verify runs, advances the seeds of a
+scenario together as lanes: integer arrays stepped by LockstepLanes, which
+checks every lane's moves each slot as step does.  Everything particular
+to a scenario (its default instance, precondition, scripted moves and
+meeting test in scalar and lane form, and predicted gap shape) sits in one
+_Script subclass, looked up by code in _SCRIPTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .model import (
     IDLE_ACTION,
     SERVE_ACTION,
+    LockstepLanes,
     ModelConfig,
     RobotAction,
     SystemState,
@@ -104,10 +111,36 @@ def _swap01(vec: tuple[int, ...]) -> tuple[int, ...]:
 _SWAP_LOC = {0: 1, 1: 0}
 
 
+def _swap01_index(n: int) -> np.ndarray:
+    """Locations 0..n-1 with 0 and 1 exchanged, as an index array."""
+    return np.array([1, 0, *range(2, n)])
+
+
 def _serve_or_idle(state: SystemState) -> RobotAction:
     return (
         SERVE_ACTION if state.queues[state.robots[0]] > 0 else IDLE_ACTION
     )
+
+
+def _serve_or_idle_lanes(lanes: LockstepLanes):
+    """_serve_or_idle in every lane, as robot 0's (serve, end) arrays."""
+    return lanes.local()[:, 0] > 0, lanes.robots[:, 0]
+
+
+def _same_lanes(
+    g: LockstepLanes, robots: np.ndarray, queues: np.ndarray
+) -> np.ndarray:
+    """Per lane: G's state equals (robots, queues)."""
+    return (g.robots == robots).all(axis=1) & (g.queues == queues).all(axis=1)
+
+
+def _next_free(loc: int, n: int, parked) -> int:
+    """The next location after loc in cyclic order that no parked robot
+    holds."""
+    j = (loc + 1) % n
+    while j in parked:
+        j = (j + 1) % n
+    return j
 
 
 class _Script:
@@ -120,12 +153,23 @@ class _Script:
     state); met says whether the pair has met after slot t, and raises
     RuntimeError where the scenario's argument says it must have.  shape
     yields the ways a coupled report's gap departs from the predicted form.
+
+    lane_moves and lane_met are the same rules over LockstepLanes g and pi,
+    one lane per seed: moves as robot 0's (serve, end) arrays for each
+    side, met as a bool per lane.  A lane instance keeps its landmarks as
+    per-lane arrays (tau -1 until set) named in lane_fields, which keep
+    filters when met lanes drop out.
     """
 
     default: tuple[int, tuple[int, ...], tuple[int, ...]]
     swap = False
     tau: int | None = None
     k: int | None = None
+    lane_fields: tuple[str, ...] = ("tau",)
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in self.lane_fields:
+            setattr(self, name, getattr(self, name)[mask])
 
 
 class _Prop1A(_Script):
@@ -141,6 +185,7 @@ class _Prop1A(_Script):
     """
 
     default = (2, (0,), (2, 1))
+    lane_fields = ("tau", "last_serve", "last_end")
 
     @staticmethod
     def holds(model: ModelConfig, state: SystemState) -> bool:
@@ -160,11 +205,7 @@ class _Prop1A(_Script):
         if t > 0 and g.queues[loc] > 0:
             g_act = SERVE_ACTION
         else:
-            # next location in cyclic order, skipping parked robots
-            j = (loc + 1) % n
-            while j in self.parked:
-                j = (j + 1) % n
-            g_act = switch_to(j)
+            g_act = switch_to(_next_free(loc, n, self.parked))
         pi_act = SERVE_ACTION if t == 0 else self.last
         self.last = g_act
         return g_act, pi_act
@@ -177,6 +218,34 @@ class _Prop1A(_Script):
                 "paired states failed to meet at the return slot"
             )
         return True
+
+    def lane_moves(self, t, g, pi):
+        loc = g.robots[:, 0]
+        if t == 0:
+            n, parked = g.num_locations, set(g.robots[0, 1:].tolist())
+            self.home = loc[0]
+            self.next_free = np.array(
+                [_next_free(j, n, parked) for j in range(n)]
+            )
+        else:
+            self.tau[(self.tau < 0) & (loc == self.home)] = t
+        g_serve = (g.local()[:, 0] > 0) & (t > 0)
+        g_end = np.where(g_serve, loc, self.next_free[loc])
+        if t == 0:
+            pi_serve, pi_end = ~g_serve, pi.robots[:, 0]
+        else:
+            pi_serve = self.last_serve
+            pi_end = np.where(pi_serve, pi.robots[:, 0], self.last_end)
+        self.last_serve, self.last_end = g_serve, g_end
+        return g_serve, g_end, pi_serve, pi_end
+
+    def lane_met(self, t, g, pi):
+        met = self.tau == t
+        if (met & ~_same_lanes(g, pi.robots, pi.queues)).any():
+            raise RuntimeError(
+                "paired states failed to meet at the return slot"
+            )
+        return met
 
     @staticmethod
     def shape(report, gap, tau, tc):
@@ -217,6 +286,15 @@ class _Prop1B(_Script):
             return False
         self.tau = t
         return True
+
+    def lane_moves(self, t, g, pi):
+        g_serve, g_end = _serve_or_idle_lanes(g)
+        return g_serve & (t > 0), g_end, *_serve_or_idle_lanes(pi)
+
+    def lane_met(self, t, g, pi):
+        met = _same_lanes(g, pi.robots, pi.queues)
+        self.tau[met] = t
+        return met
 
     @staticmethod
     def shape(report, gap, tau, tc):
@@ -267,6 +345,17 @@ class _Prop2(_Script):
         self.tau = t + 1
         return True
 
+    def lane_moves(self, t, g, pi):
+        if t == 0:
+            stay = np.zeros(len(g.robots), dtype=bool)
+            return stay, g.robots[:, 0], stay, np.ones_like(g.robots[:, 0])
+        return *_serve_or_idle_lanes(g), *_serve_or_idle_lanes(pi)
+
+    def lane_met(self, t, g, pi):
+        met = g.queues[:, 0] == pi.queues[:, 1]
+        self.tau[met] = t + 1
+        return met
+
     @staticmethod
     def shape(report, gap, tau, tc):
         m2 = report.initial_state.queues[1]
@@ -293,6 +382,7 @@ class _Prop4(_Script):
 
     default = (3, (2,), (1, 3, 0))
     swap = True
+    lane_fields = ("tau", "k")
 
     @staticmethod
     def holds(model: ModelConfig, state: SystemState) -> bool:
@@ -346,6 +436,41 @@ class _Prop4(_Script):
                 "paired states failed to meet after the crossing"
             )
         return True
+
+    def lane_moves(self, t, g, pi):
+        if t == 0:
+            self.k = g.queues[:, 1] - g.queues[:, 0]
+            self.mirror = _swap01_index(g.num_locations)
+            stay = np.zeros(len(g.robots), dtype=bool)
+            short = np.zeros_like(self.k)
+            return stay, short, stay, short + 1
+        g_serve, g_end = _serve_or_idle_lanes(g)
+        crossing = (g_end == 0) & ~g_serve
+        if (crossing & (self.tau >= 0)).any():
+            raise RuntimeError(
+                "short queue emptied twice before the crossing"
+            )
+        self.tau[crossing] = t
+        pi_serve = (self.tau < 0) | (t < self.tau + self.k)
+        if (pi_serve & (pi.queues[:, 1] <= 0)).any():
+            raise RuntimeError("long queue ran dry before the crossing")
+        return (
+            g_serve,
+            np.where(crossing, 1, g_end),
+            pi_serve,
+            np.where(pi_serve, pi.robots[:, 0], 0),
+        )
+
+    def lane_met(self, t, g, pi):
+        met = (self.tau >= 0) & (self.tau + self.k == t)
+        mirrored = _same_lanes(
+            g, self.mirror[pi.robots], pi.queues[:, self.mirror]
+        )
+        if (met & ~mirrored).any():
+            raise RuntimeError(
+                "paired states failed to meet after the crossing"
+            )
+        return met
 
     @staticmethod
     def shape(report, gap, tau, tc):
@@ -441,6 +566,132 @@ def coupled_run(
     return _finish(
         scenario, seed, horizon, gap, script.tau, script.k, coupling_time
     )
+
+
+# Seeds run as lanes in chunks of _CHUNK, so memory does not grow with the
+# seed count.  Each lane draws _BLOCK slots of arrivals up front, enough for
+# nearly every run at moderate load; the few lanes still running then draw
+# further.
+_CHUNK = 512
+_BLOCK = 32
+
+
+def coupled_runs(
+    scenario: CouplingScenario, horizon: int, seeds: Iterable[int]
+) -> Iterator[CouplingReport]:
+    """coupled_run(scenario, horizon, seed) for each seed, in order.
+
+    The seeds of each chunk run together as lanes of LockstepLanes, one G
+    and one PI, through the scenario's lane_moves and lane_met; a lane
+    drops out once it has met.  Every slot LockstepLanes.step checks each
+    lane's moves as step does, and the conservation identity is asserted
+    per lane.  Each lane draws its arrivals from its own default_rng(seed)
+    in coupled_run's order, and _finish builds its report, so every report
+    equals coupled_run's to the last bit.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least one slot")
+    seeds = list(seeds)
+    return (
+        report
+        for i in range(0, len(seeds), _CHUNK)
+        for report in _lane_reports(scenario, horizon, seeds[i:i + _CHUNK])
+    )
+
+
+def _arrival_block(
+    seeds: list[int], start: int, stop: int, probs: np.ndarray
+) -> np.ndarray:
+    """(lanes, stop - start, N) arrival indicators of slots start..stop-1,
+    lane i's drawn from default_rng(seeds[i]) one random(N) row per slot,
+    as coupled_run draws them."""
+    return np.array(
+        [
+            np.random.default_rng(seed).random((stop, len(probs)))[start:]
+            < probs
+            for seed in seeds
+        ]
+    )
+
+
+def _lane_step(
+    lanes: LockstepLanes,
+    serve: np.ndarray,
+    end: np.ndarray,
+    arrivals: np.ndarray,
+) -> np.ndarray:
+    """Step every lane with robot 0's (serve, end) and _joint's parked
+    robots; returns each lane's departures."""
+    serves = lanes.local() > 0
+    serves[:, 0] = serve
+    ends = lanes.robots.copy()
+    ends[:, 0] = end
+    lanes.step(serves, ends, arrivals)
+    return serves.sum(axis=1)
+
+
+def _lane_reports(
+    scenario: CouplingScenario, horizon: int, seeds: list[int]
+) -> list[CouplingReport]:
+    script = _SCRIPTS[scenario.name]()
+    probs = np.array(scenario.model.arrival_probs)
+    n = len(probs)
+    script.tau = np.full(len(seeds), -1)
+    g = LockstepLanes(len(seeds), scenario.initial_state)
+    pi = LockstepLanes(len(seeds), scenario.initial_state)
+    pi_cols = _swap01_index(n) if script.swap else np.arange(n)
+    live = np.arange(len(seeds))  # each live lane's index in seeds
+    gap = np.zeros(len(seeds), dtype=np.int64)
+    start, stop = 0, min(horizon, _BLOCK)
+    block = _arrival_block(seeds, start, stop, probs)
+    history = np.zeros((len(seeds), stop + 1), dtype=np.int64)
+    reports: list = [None] * len(seeds)
+
+    def settle(mask, coupling_time):
+        # reports of the lanes in mask, whose gap runs to slot t + 1
+        ks = repeat(None) if script.k is None else script.k[mask].tolist()
+        for i, row, tau, k in zip(
+            live[mask].tolist(),
+            history[mask, :t + 2].tolist(),
+            script.tau[mask].tolist(),
+            ks,
+        ):
+            reports[i] = _finish(
+                scenario, seeds[i], horizon, row,
+                None if tau < 0 else tau, k, coupling_time,
+            )
+
+    for t in range(horizon):
+        if t == stop:
+            # the live lanes outlived their block: draw their streams on
+            start, stop = t, min(horizon, 2 * t)
+            block = _arrival_block(
+                [seeds[i] for i in live.tolist()], start, stop, probs
+            )
+            history = np.pad(history, ((0, 0), (0, stop - start)))
+        arrivals = block[:, t - start]
+        g_serve, g_end, pi_serve, pi_end = script.lane_moves(t, g, pi)
+        gap -= _lane_step(g, g_serve, g_end, arrivals)
+        gap += _lane_step(pi, pi_serve, pi_end, arrivals[:, pi_cols])
+        backlog_diff = g.queues.sum(axis=1) - pi.queues.sum(axis=1)
+        if (backlog_diff != gap).any():
+            raise RuntimeError(
+                "conservation identity broken inside the coupling harness"
+            )
+        history[:, t + 1] = gap
+        met = script.lane_met(t, g, pi)
+        if met.any():
+            settle(met, t + 1)
+            if met.all():
+                break
+            stay = ~met
+            for part in (g, pi, script):
+                part.keep(stay)
+            live, gap = live[stay], gap[stay]
+            block, history = block[stay], history[stay]
+    else:
+        settle(np.ones(len(live), dtype=bool), None)
+    return reports
 
 
 def _record_gap(

@@ -26,7 +26,7 @@ import numpy as np
 from .model import (
     SERVE,
     SWITCH,
-    InfeasibleActionError,
+    LockstepLanes,
     ModelConfig,
     initial_state,
     step,
@@ -247,49 +247,6 @@ def run_episode(
 LOCKSTEP_MIN_LANES = 10
 
 
-class LockstepLanes:
-    """R episodes of one (N, M) instance, advanced together one slot at a
-    time: robots is an (R, M) and queues an (R, N) integer array, each row
-    one lane's SystemState.  Lanes start from initial_state."""
-
-    def __init__(self, num_lanes: int, num_locations: int, num_robots: int):
-        self.num_locations = num_locations
-        self.robots = np.tile(np.arange(num_robots), (num_lanes, 1))
-        self.queues = np.zeros((num_lanes, num_locations), dtype=np.int64)
-        self._flat = self.queues.reshape(-1)
-        # offset of each lane's row in the flattened queue array
-        self.base = np.arange(num_lanes)[:, None] * num_locations
-        self.pos = self.base + self.robots
-
-    def local(self) -> np.ndarray:
-        """(R, M) queue length where each robot stands."""
-        return self._flat.take(self.pos)
-
-    def step(
-        self, serve: np.ndarray, end: np.ndarray, arrivals: np.ndarray
-    ) -> None:
-        """Serve, move, then add the slot's (R, N) arrivals, in every lane.
-
-        serve[k, r] says robot r of lane k serves where it stands; end[k, r]
-        is where it ends the slot (its own location unless it switches).
-        Raises InfeasibleActionError, as step does, when any lane serves an
-        empty queue, serves while moving, leaves the map or puts two robots
-        on one location; nothing is applied then.
-        """
-        local = self.local()
-        bad = serve & ((local <= 0) | (end != self.robots))
-        bad |= (end < 0) | (end >= self.num_locations)
-        pos = self.base + end
-        # once every end is on the map, robots sharing an end location
-        # share a flat index
-        if bad.any() or np.bincount(pos.reshape(-1)).max() > 1:
-            raise InfeasibleActionError("infeasible action")
-        self._flat[self.pos] = local - serve
-        self.robots = end
-        self.pos = pos
-        np.add(self.queues, arrivals, out=self.queues)
-
-
 def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray, t: int):
     """esl_decide in every lane: robots on nonempty queues serve; the k-th
     remaining robot (by index) takes the k-th unoccupied nonempty location
@@ -440,7 +397,7 @@ def run_lockstep(
         decide = _fcfs_lockstep(table, m)
     else:
         decide = _cyclic_lockstep(group)
-    lanes = LockstepLanes(len(group), n, m)
+    lanes = LockstepLanes(len(group), initial_state(first.model))
     discounted = np.zeros(len(group))
     weight = 1.0
     queue_total_sum = np.zeros(len(group), dtype=np.int64)

@@ -7,6 +7,9 @@ robot does nothing.  New tasks arrive as independent Bernoulli coin flips per
 location per slot, and a task arriving in slot t can be worked on from slot
 t+1 at the earliest (late arrivals).  Robots may never share a location, and
 joint actions must keep that true one slot ahead.
+
+LockstepLanes is step's array form: many runs of one instance advanced
+together, with the same feasibility checks.
 """
 
 from __future__ import annotations
@@ -225,9 +228,58 @@ def step(
     return next_state, SlotDelta(tuple(departures), tuple(arrivals))
 
 
-def stage_cost(state: SystemState) -> int:
-    """Per-slot holding cost: total number of waiting tasks."""
-    return sum(state.queues)
+class LockstepLanes:
+    """R runs of one (N, M) instance, advanced together one slot at a time:
+    robots is an (R, M) and queues an (R, N) integer array, each row one
+    lane's SystemState.  Every lane starts from start; keep drops lanes."""
+
+    def __init__(self, num_lanes: int, start: SystemState):
+        self.num_locations = len(start.queues)
+        self.robots = np.tile(np.array(start.robots), (num_lanes, 1))
+        self.queues = np.tile(
+            np.array(start.queues, dtype=np.int64), (num_lanes, 1)
+        )
+        self._index()
+
+    def _index(self) -> None:
+        self._flat = self.queues.reshape(-1)
+        # offset of each lane's row in the flattened queue array
+        self.base = np.arange(len(self.queues))[:, None] * self.num_locations
+        self.pos = self.base + self.robots
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the lanes where the (R,) bool mask is False."""
+        self.robots = self.robots[mask]
+        self.queues = self.queues[mask]
+        self._index()
+
+    def local(self) -> np.ndarray:
+        """(R, M) queue length where each robot stands."""
+        return self._flat.take(self.pos)
+
+    def step(
+        self, serve: np.ndarray, end: np.ndarray, arrivals: np.ndarray
+    ) -> None:
+        """Serve, move, then add the slot's (R, N) arrivals, in every lane.
+
+        serve[k, r] says robot r of lane k serves where it stands; end[k, r]
+        is where it ends the slot (its own location unless it switches).
+        Raises InfeasibleActionError, as step does, when any lane serves an
+        empty queue, serves while moving, leaves the map or puts two robots
+        on one location; nothing is applied then.
+        """
+        local = self.local()
+        bad = serve & ((local <= 0) | (end != self.robots))
+        bad |= (end < 0) | (end >= self.num_locations)
+        pos = self.base + end
+        # once every end is on the map, robots sharing an end location
+        # share a flat index
+        if bad.any() or np.bincount(pos.reshape(-1)).max() > 1:
+            raise InfeasibleActionError("infeasible action")
+        self._flat[self.pos] = local - serve
+        self.robots = end
+        self.pos = pos
+        np.add(self.queues, arrivals, out=self.queues)
 
 
 def iter_joint_actions(state: SystemState) -> Iterator[JointAction]:

@@ -26,8 +26,12 @@ from eslsim.model import (
     ModelConfig,
     SystemState,
     iter_joint_actions,
-    stage_cost,
 )
+
+
+def stage_cost(state: SystemState) -> int:
+    """Per-slot holding cost: total number of waiting tasks."""
+    return sum(state.queues)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import eslsim.coupling
+from eslsim.model import LockstepLanes
 from eslsim import (
     CouplingScenario,
     ModelConfig,
@@ -14,6 +16,7 @@ from eslsim import (
     SystemState,
     check_gap_pattern,
     coupled_run,
+    coupled_runs,
     make_scenario,
 )
 
@@ -247,42 +250,164 @@ def test_corrupted_gap_phases_are_named(
     assert check_gap_pattern(bad) == expected
 
 
-def _step_moving_one_task(call, src, dst):
-    """A step that, on its call-th use, moves one waiting task from src to
-    dst in the next state.  Queue totals and departures are untouched, so
-    the conservation identity still holds but the paired paths no longer
-    meet.  Each slot steps G first and PI second: calls 2t and 2t + 1."""
+def _step_moving_tasks(call, src, dst, tasks=1):
+    """A step that, on its call-th use, moves up to tasks waiting tasks
+    from src to dst in the next state.  Queue totals and departures are
+    untouched, so the conservation identity still holds but the paired
+    paths no longer meet.  Each slot steps G first and PI second: calls 2t
+    and 2t + 1."""
     real_step = eslsim.coupling.step
     calls = itertools.count()
 
     def moving_step(state, joint, arrivals):
         next_state, delta = real_step(state, joint, arrivals)
-        if next(calls) == call and next_state.queues[src] > 0:
+        moved = min(next_state.queues[src], tasks)
+        if next(calls) == call and moved:
             queues = list(next_state.queues)
-            queues[src] -= 1
-            queues[dst] += 1
+            queues[src] -= moved
+            queues[dst] += moved
             next_state = next_state._replace(queues=tuple(queues))
         return next_state, delta
 
     return moving_step
 
 
-@pytest.mark.parametrize(
-    "name,call,src,dst,message",
-    [
-        # PI's side at slot 0
-        ("prop1A", 1, 0, 1, "failed to meet at the return slot"),
-        # G's side at slot 1
-        ("prop4", 2, 1, 2, "failed to meet after the crossing"),
-    ],
-)
+def _lanes_step_moving_tasks(call, src, dst, tasks=1):
+    """_step_moving_tasks for coupled_runs: the fault, in every lane, of
+    the call-th LockstepLanes.step, which steps G and PI in the same
+    order."""
+    real_step = LockstepLanes.step
+    calls = itertools.count()
+
+    def moving_step(lanes, serve, end, arrivals):
+        real_step(lanes, serve, end, arrivals)
+        if next(calls) == call:
+            moved = np.minimum(lanes.queues[:, src], tasks)
+            lanes.queues[:, src] -= moved
+            lanes.queues[:, dst] += moved
+
+    return moving_step
+
+
+MEETING_FAULTS = [
+    # PI's side at slot 0
+    ("prop1A", 1, 0, 1, "failed to meet at the return slot"),
+    # G's side at slot 1
+    ("prop4", 2, 1, 2, "failed to meet after the crossing"),
+]
+
+
+@pytest.mark.parametrize("name,call,src,dst,message", MEETING_FAULTS)
 def test_displaced_task_breaks_the_meeting_check(
     name, call, src, dst, message, monkeypatch
 ):
     scenario = make_scenario(name)
     for seed in range(40):
         monkeypatch.setattr(
-            eslsim.coupling, "step", _step_moving_one_task(call, src, dst)
+            eslsim.coupling, "step", _step_moving_tasks(call, src, dst)
         )
         with pytest.raises(RuntimeError, match=message):
             coupled_run(scenario, horizon=2000, seed=seed)
+
+
+@pytest.mark.parametrize("name,call,src,dst,message", MEETING_FAULTS)
+def test_displaced_task_breaks_the_lane_meeting_check(
+    name, call, src, dst, message, monkeypatch
+):
+    scenario = make_scenario(name)
+    for seed in range(40):
+        monkeypatch.setattr(
+            LockstepLanes, "step", _lanes_step_moving_tasks(call, src, dst)
+        )
+        with pytest.raises(RuntimeError, match=message):
+            list(coupled_runs(scenario, 2000, [seed]))
+
+
+def test_drained_long_queue_breaks_prop4_on_both_engines(monkeypatch):
+    """Every task moved off PI's long queue at slot 0 leaves nothing for
+    its catch-up serves."""
+    scenario = make_scenario("prop4")
+    for seed in range(40):
+        monkeypatch.setattr(
+            eslsim.coupling, "step", _step_moving_tasks(1, 1, 2, tasks=99)
+        )
+        with pytest.raises(RuntimeError, match="ran dry"):
+            coupled_run(scenario, 2000, seed)
+        monkeypatch.setattr(
+            LockstepLanes, "step", _lanes_step_moving_tasks(1, 1, 2, 99)
+        )
+        with pytest.raises(RuntimeError, match="ran dry"):
+            list(coupled_runs(scenario, 2000, [seed]))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_lost_departure_breaks_the_lane_conservation_check(
+    name, monkeypatch
+):
+    """The lane form of the lost departure: one served task stays in its
+    queue, so the lane's backlog drifts off its departure gap."""
+    real_step = LockstepLanes.step
+    kept = []
+
+    def lossy_step(lanes, serve, end, arrivals):
+        robots = lanes.robots
+        real_step(lanes, serve, end, arrivals)
+        if not kept and serve.any():
+            k, r = np.argwhere(serve)[0]
+            kept.append(k)
+            lanes.queues[k, robots[k, r]] += 1
+
+    monkeypatch.setattr(LockstepLanes, "step", lossy_step)
+    with pytest.raises(RuntimeError, match="conservation identity"):
+        list(coupled_runs(make_scenario(name), 200, range(5)))
+    assert kept
+
+
+def _reprs(reports):
+    return [repr(report) for report in reports]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_lanes_match_coupled_run_across_chunks(name):
+    scenario = make_scenario(name)
+    seeds = range(2 * eslsim.coupling._CHUNK + 3)
+    for horizon in (3, 2000):
+        assert _reprs(coupled_runs(scenario, horizon, seeds)) == _reprs(
+            coupled_run(scenario, horizon, seed) for seed in seeds
+        )
+
+
+def test_lanes_outliving_their_arrival_block_match_coupled_run():
+    """From 30 waiting tasks at p 0.4 the runs last tens of slots, so lanes
+    outlive the first arrival block and the ones drawn after it."""
+    scenario = make_scenario(
+        "prop1B", p=0.4, initial_state=SystemState((0,), (30, 0))
+    )
+    seeds = range(200)
+    block = eslsim.coupling._BLOCK
+    for horizon in (1, block + 8, 2 * block, 2 * block + 1, 2000):
+        assert _reprs(coupled_runs(scenario, horizon, seeds)) == _reprs(
+            coupled_run(scenario, horizon, seed) for seed in seeds
+        )
+    slots = [len(r.gap) - 1 for r in coupled_runs(scenario, 2000, seeds)]
+    assert min(slots) > block
+    assert max(slots) > 2 * block
+
+
+def test_lane_reports_come_back_in_seed_order():
+    # seed 7's lane meets first, two slots before either lane of seed 3
+    scenario = make_scenario("prop1B")
+    reports = list(coupled_runs(scenario, 2000, [3, 7, 3]))
+    assert [r.seed for r in reports] == [3, 7, 3]
+    assert [r.coupling_time for r in reports] == [6, 4, 6]
+    assert _reprs(reports) == _reprs(
+        coupled_run(scenario, 2000, seed) for seed in (3, 7, 3)
+    )
+
+
+def test_lanes_take_no_seeds_and_reject_a_bad_horizon():
+    scenario = make_scenario("prop1B")
+    assert list(coupled_runs(scenario, 10, [])) == []
+    for horizon in (0, -3):
+        with pytest.raises(ValueError, match="horizon"):
+            coupled_runs(scenario, horizon, [0])

@@ -6,7 +6,9 @@ horizon over the repr of each seed's `CouplingReport` (every field, so
 plus the full records of seeds 0-2 at the long horizon.  The fixture was
 written by the harness as it stood before its four per-scenario slot loops
 were merged into one, so any change in the paired paths, the gap, the
-closed-form sum or the pattern verdicts shows up here.
+closed-form sum or the pattern verdicts shows up here.  Both engines are
+held to it: coupled_run seed by seed, and coupled_runs with every seed of
+a case as one lane.
 
 Print the fixture with:  PYTHONPATH=src python3 tests/test_coupling_pin.py
 """
@@ -24,6 +26,7 @@ from eslsim import (
     SystemState,
     check_gap_pattern,
     coupled_run,
+    coupled_runs,
     make_scenario,
 )
 
@@ -63,10 +66,13 @@ def record(report) -> dict:
     }
 
 
-def digest(scenario, horizon: int, seeds: int) -> str:
+def scalar_runs(scenario, horizon: int, seeds):
+    return (coupled_run(scenario, horizon, seed) for seed in seeds)
+
+
+def digest(reports) -> str:
     h = hashlib.sha256()
-    for seed in range(seeds):
-        report = coupled_run(scenario, horizon, seed)
+    for report in reports:
         h.update(f"{report!r}\n{check_gap_pattern(report)!r}\n".encode())
     return h.hexdigest()
 
@@ -76,12 +82,16 @@ def build() -> dict:
     return {
         key: {
             "digests": {
-                str(horizon): digest(scenario, horizon, seeds)
+                str(horizon): digest(
+                    scalar_runs(scenario, horizon, range(seeds))
+                )
                 for horizon, seeds in HORIZONS
             },
             "records": [
-                record(coupled_run(scenario, long_horizon, seed))
-                for seed in RECORD_SEEDS
+                record(report)
+                for report in scalar_runs(
+                    scenario, long_horizon, RECORD_SEEDS
+                )
             ],
         }
         for key, scenario in cases().items()
@@ -93,19 +103,28 @@ def pinned():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("key", sorted(cases()))
-def test_reports_match_the_pin(pinned, key):
+def check_against_pin(pinned, key, runs):
     scenario = cases()[key]
     long_horizon = HORIZONS[-1][0]
     records = [
-        record(coupled_run(scenario, long_horizon, seed))
-        for seed in RECORD_SEEDS
+        record(report)
+        for report in runs(scenario, long_horizon, RECORD_SEEDS)
     ]
     assert records == pinned[key]["records"]
     for horizon, seeds in HORIZONS:
-        assert digest(scenario, horizon, seeds) == (
+        assert digest(runs(scenario, horizon, range(seeds))) == (
             pinned[key]["digests"][str(horizon)]
         ), (key, horizon)
+
+
+@pytest.mark.parametrize("key", sorted(cases()))
+def test_reports_match_the_pin(pinned, key):
+    check_against_pin(pinned, key, scalar_runs)
+
+
+@pytest.mark.parametrize("key", sorted(cases()))
+def test_lane_reports_match_the_pin(pinned, key):
+    check_against_pin(pinned, key, coupled_runs)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from eslsim import (
     InfeasibleActionError,
     InsufficientReplicationsError,
     ModelConfig,
+    SystemState,
     aggregate,
     dwell_metadata,
     esl_decide,
@@ -373,7 +374,8 @@ def test_lockstep_rejects_mixed_lanes():
 
 
 def lanes_at(robots, queues):
-    lanes = evaluator.LockstepLanes(len(robots), len(queues[0]), len(robots[0]))
+    start = SystemState(tuple(robots[0]), tuple(queues[0]))
+    lanes = evaluator.LockstepLanes(len(robots), start)
     lanes.robots = np.array(robots)
     lanes.pos = lanes.base + lanes.robots
     lanes.queues[:] = queues

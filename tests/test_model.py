@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_feasible_joint, system_states
+from scalar_mdp import stage_cost
 from eslsim import (
     IDLE_ACTION,
     SERVE_ACTION,
@@ -21,7 +22,6 @@ from eslsim import (
     is_feasible,
     iter_joint_actions,
     sample_arrivals,
-    stage_cost,
     step,
     switch_to,
     validate_state,

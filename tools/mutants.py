@@ -110,6 +110,36 @@ MUTANTS = [
         "diff += beta**coupling_time * (terminal / (1.0 - beta))",
     ),
     (
+        "coupling lanes: the conservation check never raises",
+        "src/eslsim/coupling.py",
+        "if (backlog_diff != gap).any():",
+        "if False:",
+    ),
+    (
+        "coupling lanes: PI reads the unswapped draw",
+        "src/eslsim/coupling.py",
+        "pi_cols = _swap01_index(n) if script.swap else np.arange(n)",
+        "pi_cols = np.arange(n)",
+    ),
+    (
+        "coupling lanes: a lane past its first block re-reads its first rows",
+        "src/eslsim/coupling.py",
+        ".random((stop, len(probs)))[start:]",
+        ".random((stop, len(probs)))[:stop - start]",
+    ),
+    (
+        "coupling lanes: prop1A never checks the meeting at the return slot",
+        "src/eslsim/coupling.py",
+        "if (met & ~_same_lanes(g, pi.robots, pi.queues)).any():",
+        "if False:",
+    ),
+    (
+        "coupling lanes: prop4 never checks the meeting after the crossing",
+        "src/eslsim/coupling.py",
+        "if (met & ~mirrored).any():",
+        "if False:",
+    ),
+    (
         "check_gap_pattern skips prop2's terminal gap",
         "src/eslsim/coupling.py",
         "if gap[tc] != m2 or report.terminal_gap != m2:",
@@ -141,19 +171,19 @@ MUTANTS = [
     ),
     (
         "lockstep step: the collision check allows two robots on a location",
-        "src/eslsim/evaluator.py",
+        "src/eslsim/model.py",
         "np.bincount(pos.reshape(-1)).max() > 1",
         "np.bincount(pos.reshape(-1)).max() > 2",
     ),
     (
         "lockstep step: the range check lets an end sit one past the map",
-        "src/eslsim/evaluator.py",
+        "src/eslsim/model.py",
         "(end >= self.num_locations)",
         "(end > self.num_locations)",
     ),
     (
         "lockstep step: a robot may serve while it moves",
-        "src/eslsim/evaluator.py",
+        "src/eslsim/model.py",
         "bad = serve & ((local <= 0) | (end != self.robots))",
         "bad = serve & (local <= 0)",
     ),
