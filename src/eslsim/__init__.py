@@ -58,6 +58,7 @@ from .evaluator import (
     grid_dwell_metadata,
     run_episode,
     run_grid,
+    run_cyclic_scan,
     run_lockstep,
 )
 from .mdp import (

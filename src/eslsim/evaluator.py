@@ -6,12 +6,16 @@ whole episode are drawn up front from the seed, so two policies evaluated
 with the same seed face identical arrival sample paths (common random
 numbers) no matter how their decisions differ.
 
-run_episode is the reference slot loop.  run_grid runs large groups of
-episodes through run_lockstep, which advances many episodes together as
-integer arrays and reproduces run_episode's metrics exactly.  Both engines
-draw arrivals with _draw_arrivals, build each lane's policy with make_policy
-and their metrics with _metrics.  The cyclic patrol is a closed form in the
-slot index (policies.cyclic_decide), so its lockstep rule keeps no state.
+run_episode is the reference slot loop.  run_grid runs each group of
+episodes through run_lanes.  Cyclic groups of any size go to
+run_cyclic_scan: the patrol is a closed form in the slot index
+(policies.patrol_end), so each queue is a Lindley recursion on a known
+service schedule, solved with array scans one time chunk at a time.  Large
+esl and fcfs groups go to run_lockstep, which advances many episodes
+together as integer arrays, one slot per step.  Both reproduce
+run_episode's metrics exactly.  All three engines draw arrivals with
+_draw_arrivals, build each lane's policy with make_policy and their metrics
+with _metrics.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from .model import (
     SERVE,
     SWITCH,
+    InfeasibleActionError,
     LockstepLanes,
     ModelConfig,
     initial_state,
@@ -36,6 +41,7 @@ from .policies import (
     block_size,
     dwell_metadata,
     make_policy,
+    patrol_end,
     resolve_dwell,
 )
 
@@ -247,7 +253,7 @@ def run_episode(
 LOCKSTEP_MIN_LANES = 10
 
 
-def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray, t: int):
+def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
     """esl_decide in every lane: robots on nonempty queues serve; the k-th
     remaining robot (by index) takes the k-th unoccupied nonempty location
     ordered by (-queue, index), and robots past the last target idle."""
@@ -263,24 +269,6 @@ def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray, t: int):
     gets = seek & (rank < free.sum(axis=1, keepdims=True))
     dest = order.reshape(-1).take(lanes.base + rank)
     return serve, np.where(gets, dest, lanes.robots)
-
-
-def _cyclic_lockstep(group: Sequence[tuple[ExperimentConfig, int]]):
-    """cyclic_decide in every lane, with per-lane dwell: each robot's end
-    location is the closed form of the slot index, with the legs CyclicPolicy
-    reads from the start state."""
-    policies = [
-        make_policy(c.policy, c.model, **c.policy_params) for c, _ in group
-    ]
-    policies[0].reset(initial_state(group[0][0].model))
-    leads, starts, sizes = np.array(policies[0].legs).T
-    dwell = np.array([[policy.t_dwell] for policy in policies])
-
-    def decide(lanes: LockstepLanes, local: np.ndarray, t: int):
-        end = starts + (t + 1 - leads) // (dwell + 1) % sizes
-        return (end == lanes.robots) & (local > 0), end
-
-    return decide
 
 
 def _fcfs_lockstep(table: np.ndarray, num_robots: int):
@@ -307,7 +295,7 @@ def _fcfs_lockstep(table: np.ndarray, num_robots: int):
     width = np.int64(2 * n)
     empty_key = np.iinfo(np.int64).max
 
-    def decide(lanes: LockstepLanes, local: np.ndarray, t: int):
+    def decide(lanes: LockstepLanes, local: np.ndarray):
         queues, robots, pos = lanes.queues, lanes.robots, lanes.pos
         nonempty = queues > 0
         waiting = nonempty.sum(axis=1)
@@ -368,14 +356,27 @@ def _lane_group_key(config: ExperimentConfig) -> tuple:
     )
 
 
+def _shared_config(
+    group: Sequence[tuple[ExperimentConfig, int]],
+) -> ExperimentConfig:
+    """The first lane's config, once every lane shares its group key."""
+    first = group[0][0]
+    if any(_lane_group_key(c) != _lane_group_key(first) for c, _ in group):
+        raise ValueError(
+            "the lanes of a group must share N, M, discount, horizon and "
+            "policy"
+        )
+    return first
+
+
 def run_lockstep(
     group: Sequence[tuple[ExperimentConfig, int]],
 ) -> list[EpisodeMetrics]:
     """run_episode(config, seed) for every (config, seed) lane at once.
 
-    The lanes must agree on N, M, discount, horizon and policy.  All lanes
-    advance one slot per step as integer arrays, each decision rule is
-    vectorised across lanes and given the slot index, LockstepLanes.step
+    The lanes must agree on N, M, discount, horizon and policy, esl or
+    fcfs.  All lanes advance one slot per step as integer arrays, each
+    decision rule is vectorised across lanes, LockstepLanes.step
     checks feasibility every slot, and the metrics are accumulated with the
     same float operations in the same order as run_episode's slot loop and
     built by the same _metrics, so each lane's EpisodeMetrics equals
@@ -383,20 +384,16 @@ def run_lockstep(
     """
     if not group:
         return []
-    first = group[0][0]
-    if any(_lane_group_key(c) != _lane_group_key(first) for c, _ in group):
-        raise ValueError(
-            "lockstep lanes must share N, M, discount, horizon and policy"
-        )
+    first = _shared_config(group)
+    if first.policy == "cyclic":
+        raise ValueError("cyclic lanes run through run_cyclic_scan")
     n, m = first.model.num_locations, first.model.num_robots
     horizon, beta = first.horizon, first.model.discount
     table = _lockstep_arrivals(group, horizon, n)
     if first.policy == "esl":
         decide = _esl_lockstep
-    elif first.policy == "fcfs":
-        decide = _fcfs_lockstep(table, m)
     else:
-        decide = _cyclic_lockstep(group)
+        decide = _fcfs_lockstep(table, m)
     lanes = LockstepLanes(len(group), initial_state(first.model))
     discounted = np.zeros(len(group))
     weight = 1.0
@@ -408,7 +405,7 @@ def run_lockstep(
         discounted += weight * total
         weight *= beta
         queue_total_sum += total
-        serve, end = decide(lanes, lanes.local(), t)
+        serve, end = decide(lanes, lanes.local())
         serve_ct += serve
         switch_ct += end != lanes.robots
         lanes.step(serve, end, table[t])
@@ -424,11 +421,167 @@ def run_lockstep(
     ]
 
 
+# The cyclic scan runs its lanes in time chunks of about
+# _SCAN_CHUNK_ENTRIES (slot, lane, location) entries, which bound its
+# temporaries, but of at least _SCAN_MIN_ROWS slots, which bound the number
+# of chunks: each costs a fixed few dozen numpy calls.
+_SCAN_CHUNK_ENTRIES = 16384
+_SCAN_MIN_ROWS = 16
+
+
+def _lindley(
+    queues: np.ndarray, serve: np.ndarray, arrivals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start-of-slot queues over one time chunk, and the queues after it.
+
+    queues (R, N) holds q(t0); serve and arrivals are the chunk's (C, R, N)
+    service indicators s(t) and arrivals a(t).  q(t + 1) =
+    max(q(t) - s(t), 0) + a(t) is a Lindley recursion: with S the running
+    sum of q(t0) - s(t0), a(t0) - s(t0 + 1), ..., the queue after service,
+    max(q(t) - s(t), 0), is S - min(running minimum of S, 0).
+    """
+    dtype = queues.dtype
+    left = np.empty(serve.shape, dtype)
+    np.subtract(queues, serve[0], out=left[0], dtype=dtype)
+    np.subtract(arrivals[:-1], serve[1:], out=left[1:], dtype=dtype)
+    np.cumsum(left, axis=0, out=left)
+    low = np.minimum.accumulate(left, axis=0)
+    np.minimum(low, 0, out=low)
+    left -= low
+    # low's buffer takes the start-of-slot queues
+    start = low
+    start[0] = queues
+    np.add(left[:-1], arrivals[:-1], out=start[1:], dtype=dtype)
+    return start, left[-1] + arrivals[-1]
+
+
+class _CyclicScan:
+    """The cyclic lanes of one group between two time chunks of the scan:
+    the patrol's legs and each lane's dwell, and what one chunk hands the
+    next (queues, end positions, discount weight, discounted sums) along
+    with the running sums of queue totals, switches and departures."""
+
+    def __init__(self, group: Sequence[tuple[ExperimentConfig, int]]):
+        first = group[0][0]
+        horizon, n = first.horizon, first.model.num_locations
+        self.num_robots = first.model.num_robots
+        self.beta = first.model.discount
+        policies = [
+            make_policy(c.policy, c.model, **c.policy_params)
+            for c, _ in group
+        ]
+        start = initial_state(first.model)
+        policies[0].reset(start)
+        # every slot index, location, queue length and dwell period fits
+        self.dtype = dtype = np.min_scalar_type(-max(horizon, n) - 2)
+        self.legs = np.array(policies[0].legs, dtype).T
+        # a dwell longer than the horizon never ends within it
+        self.dwell = np.array(
+            [[min(policy.t_dwell, horizon)] for policy in policies], dtype
+        )
+        num_lanes = len(group)
+        self.locations = np.arange(n, dtype=dtype)
+        self.queues = np.zeros((num_lanes, n), dtype)
+        self.ends = np.array([start.robots] * num_lanes, dtype)
+        self.weight = 1.0
+        self.discounted = np.zeros(num_lanes)
+        self.queued = np.zeros(num_lanes, dtype=np.int64)
+        self.switched = np.zeros(num_lanes, dtype=np.int64)
+        self.departed = np.zeros((num_lanes, n), dtype=np.int64)
+
+    def advance(self, t0: int, arrivals: np.ndarray) -> None:
+        """Run slots t0, t0 + 1, ... with the chunk's (C, R, N) arrivals."""
+        m, locations = self.num_robots, self.locations
+        size = len(arrivals)
+        slots = np.arange(t0, t0 + size, dtype=self.dtype)[:, None, None]
+        end = patrol_end(slots, *self.legs, self.dwell)
+        # mark every end: an end off the map marks nothing and two robots
+        # on one location mark it once, so a feasible schedule, and only
+        # a feasible one, makes m marks per lane and slot
+        serve = np.zeros(arrivals.shape, dtype=bool)
+        for r in range(m):
+            serve |= end[..., r, None] == locations
+        if np.count_nonzero(serve) != end.size:
+            raise InfeasibleActionError("infeasible cyclic schedule")
+        stay = np.empty(end.shape, dtype=bool)
+        np.equal(end[0], self.ends, out=stay[0])
+        np.equal(end[1:], end[:-1], out=stay[1:])
+        self.ends = end[-1].copy()
+        self.switched += m * size - np.count_nonzero(stay, axis=(0, 2))
+        # a robot serves where it starts and ends the slot, if tasks wait
+        end[~stay] = -1
+        serve[...] = False
+        for r in range(m):
+            serve |= end[..., r, None] == locations
+        start_q, self.queues = _lindley(self.queues, serve, arrivals)
+        total = start_q.sum(axis=2)
+        self.queued += total.sum(axis=0)
+        serve &= start_q > 0
+        self.departed += serve.sum(axis=0)
+        weights = np.full(size, self.beta)
+        weights[0] = self.weight
+        np.multiply.accumulate(weights, out=weights)
+        self.weight = weights[-1] * self.beta
+        terms = np.empty((size + 1, len(self.discounted)))
+        terms[0] = self.discounted
+        np.multiply(weights[:, None], total, out=terms[1:])
+        np.add.accumulate(terms, axis=0, out=terms)
+        self.discounted = terms[-1].copy()
+
+
+def run_cyclic_scan(
+    group: Sequence[tuple[ExperimentConfig, int]],
+) -> list[EpisodeMetrics]:
+    """run_episode(config, seed) for every cyclic (config, seed) lane at
+    once, one time chunk at a time (_CyclicScan.advance).
+
+    The lanes must agree on N, M, discount, horizon and policy; p and the
+    dwell may differ.  The patrol never reads the queues, so patrol_end
+    gives every robot's end location at every slot, and a location is
+    served in slot t when a robot both starts and ends the slot there.
+    Each chunk checks that schedule (every end on the map, distinct ends
+    in every slot of every lane; InfeasibleActionError otherwise), then
+    runs each queue's Lindley recursion (_lindley).  The discount weights
+    and the discounted sums accumulate in slot order with run_episode's
+    float operations, so each lane's EpisodeMetrics equals run_episode's
+    exactly.  At the end every queue must be non-negative and equal its
+    arrivals less its departures.
+    """
+    if not group:
+        return []
+    first = _shared_config(group)
+    if first.policy != "cyclic":
+        raise ValueError("the scan runs cyclic lanes only")
+    n, horizon = first.model.num_locations, first.horizon
+    table = _lockstep_arrivals(group, horizon, n)
+    scan = _CyclicScan(group)
+    rows = max(_SCAN_MIN_ROWS, _SCAN_CHUNK_ENTRIES // (len(group) * n))
+    for t0 in range(0, horizon, rows):
+        scan.advance(t0, table[t0:t0 + rows])
+    queues = scan.queues
+    arrived = table.sum(axis=0)
+    if (queues < 0).any() or (queues != arrived - scan.departed).any():
+        raise RuntimeError("queue conservation broken inside the cyclic scan")
+    return [
+        _metrics(config, cost, queued, served, switched)
+        for (config, _), cost, queued, served, switched in zip(
+            group,
+            scan.discounted.tolist(),
+            scan.queued.tolist(),
+            scan.departed.sum(axis=1).tolist(),
+            scan.switched.tolist(),
+        )
+    ]
+
+
 def run_lanes(
     group: Sequence[tuple[ExperimentConfig, int]],
 ) -> list[EpisodeMetrics]:
-    """Metrics of every (config, seed) lane of one group, in order: through
+    """Metrics of every (config, seed) lane of one group, in order: cyclic
+    groups through run_cyclic_scan, any size; esl and fcfs through
     run_lockstep from LOCKSTEP_MIN_LANES lanes up, else run_episode."""
+    if group and group[0][0].policy == "cyclic":
+        return run_cyclic_scan(group)
     if len(group) < LOCKSTEP_MIN_LANES:
         return [run_episode(config, seed) for config, seed in group]
     return run_lockstep(group)

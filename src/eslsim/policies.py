@@ -143,6 +143,14 @@ def patrol_blocks(
     ]
 
 
+def patrol_end(now, leads, starts, sizes, dwell):
+    """Where fixed-dwell patrol puts a robot at the end of slot now, from
+    its leg (lead, block start, block size) and its dwell:
+    start + (now + 1 - lead) // (dwell + 1) % size.  Elementwise, on ints
+    or on numpy arrays that broadcast together."""
+    return starts + (now + 1 - leads) // (dwell + 1) % sizes
+
+
 def cyclic_decide(
     state: SystemState,
     now: int,
@@ -156,16 +164,14 @@ def cyclic_decide(
     whatever is present (idling on empty slots), then spends one slot
     travelling to the next.  lead is 1 when the robot began the episode off
     its block head, whose first slot is then the trip there.  The patrol
-    never reads the queues, so a robot ends slot now at
-    start + (now + 1 - lead) // (t_dwell + 1) % size; it switches there if
-    it stands elsewhere.  Blocks are disjoint, so the ends are distinct and
-    the joint is feasible in any state.
+    never reads the queues, so a robot ends slot now at patrol_end; it
+    switches there if it stands elsewhere.  Blocks are disjoint, so the
+    ends are distinct and the joint is feasible in any state.
     """
     robots, queues = state
-    period = t_dwell + 1
     actions: list[RobotAction] = []
     for loc, (lead, start, size) in zip(robots, legs):
-        end = start + (now + 1 - lead) // period % size
+        end = patrol_end(now, lead, start, size, t_dwell)
         if end != loc:
             actions.append(switch_to(end))
         else:

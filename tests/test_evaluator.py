@@ -320,19 +320,137 @@ def lockstep_cells(policy, n, m, horizon=150):
     return cells
 
 
+def shrink_scan_chunks(monkeypatch, rows):
+    """Make the cyclic scan advance rows slots per time chunk."""
+    monkeypatch.setattr(evaluator, "_SCAN_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(evaluator, "_SCAN_MIN_ROWS", rows)
+
+
 @pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
 @pytest.mark.parametrize("policy", ["esl", "fcfs", "cyclic"])
 def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
-    # small arrival chunks, so lanes cross several chunk boundaries
+    # small arrival and scan chunks, so lanes cross several chunk boundaries
     monkeypatch.setattr(evaluator, "_ARRIVAL_CHUNK_ROWS", 7)
+    shrink_scan_chunks(monkeypatch, 11)
     lanes = [
         (cell, seed)
         for cell in lockstep_cells(policy, n, m)
         for seed in LOCKSTEP_SEEDS
     ]
-    assert evaluator.run_lockstep(lanes) == [
+    engine = (
+        evaluator.run_cyclic_scan
+        if policy == "cyclic"
+        else evaluator.run_lockstep
+    )
+    assert engine(lanes) == [run_episode(cell, seed) for cell, seed in lanes]
+
+
+def mixed_cyclic_lanes(n, m, count, horizon=120):
+    """count cyclic lanes of one group, cycling through p = 0, p = 1, an
+    unstable alpha = 1.1 and a stable alpha = 0.4, each with its own dwell
+    (1, 2, 3, 5) and seed."""
+    cells = []
+    for dwell, p in zip((1, 2, 3, 5), (0.0, 1.0, 1.1 * m / n, 0.4 * m / n)):
+        cells.append(
+            ExperimentConfig(
+                model=ModelConfig.symmetric(n, m, p, 0.97),
+                policy="cyclic",
+                horizon=horizon,
+                episodes=2,
+                base_seed=0,
+                policy_params={"t_dwell": dwell},
+            )
+        )
+    return [(cells[k % len(cells)], 300 + k) for k in range(count)]
+
+
+@pytest.mark.parametrize("n,m", [(6, 3), (5, 2), (7, 4)])
+@pytest.mark.parametrize(
+    "count", range(1, evaluator.LOCKSTEP_MIN_LANES + 3)
+)
+def test_scan_matches_run_episode_at_every_lane_count(
+    monkeypatch, count, n, m
+):
+    lanes = mixed_cyclic_lanes(n, m, count)
+    want = [run_episode(cell, seed) for cell, seed in lanes]
+    # one-slot chunks, then chunks that leave a short last one
+    for rows in (1, 13):
+        shrink_scan_chunks(monkeypatch, rows)
+        assert evaluator.run_cyclic_scan(lanes) == want
+
+
+def test_scan_matches_run_episode_at_the_default_chunk_size():
+    """The real chunk size, on a group wide enough for several chunks."""
+    lanes = mixed_cyclic_lanes(6, 2, 12, horizon=600)
+    rows = evaluator._SCAN_CHUNK_ENTRIES // (12 * 6)
+    assert 600 // rows >= 2
+    assert evaluator.run_cyclic_scan(lanes) == [
         run_episode(cell, seed) for cell, seed in lanes
     ]
+
+
+def test_run_lanes_sends_small_cyclic_groups_to_the_scan(monkeypatch):
+    lanes = mixed_cyclic_lanes(6, 3, 2)
+    want = [run_episode(cell, seed) for cell, seed in lanes]
+
+    def scalar_path(*args):
+        raise AssertionError("a cyclic group runs through the scan")
+
+    monkeypatch.setattr(evaluator, "run_episode", scalar_path)
+    assert evaluator.run_lanes(lanes) == want
+
+
+def test_scan_and_lockstep_reject_each_others_policies():
+    with pytest.raises(ValueError, match="cyclic"):
+        evaluator.run_cyclic_scan([(config_for("esl"), 0)])
+    with pytest.raises(ValueError, match="run_cyclic_scan"):
+        evaluator.run_lockstep(mixed_cyclic_lanes(6, 3, 2))
+
+
+@pytest.mark.parametrize("fault", ["shared", "off the map"])
+def test_scan_checks_the_schedule_in_every_chunk(monkeypatch, fault):
+    """A schedule that goes wrong in one lane at one late slot, in a late
+    chunk, is caught."""
+    shrink_scan_chunks(monkeypatch, 10)
+    lanes = mixed_cyclic_lanes(6, 3, 12)
+    real = evaluator.patrol_end
+    bad_slot, chunks = 93, []
+
+    def faulty(now, leads, starts, sizes, dwell):
+        end = real(now, leads, starts, sizes, dwell)
+        chunks.append(int(now[0, 0, 0]))
+        if now[0, 0, 0] <= bad_slot <= now[-1, 0, 0]:
+            row = end[bad_slot - now[0, 0, 0], 7]
+            row[1] = row[0] if fault == "shared" else 6
+        return end
+
+    monkeypatch.setattr(evaluator, "patrol_end", faulty)
+    with pytest.raises(InfeasibleActionError):
+        evaluator.run_cyclic_scan(lanes)
+    # raised in the faulty chunk, two short of the last
+    assert chunks == list(range(0, 100, 10))
+
+
+def test_scan_conservation_check_catches_a_corrupt_carry(monkeypatch):
+    """A queue corrupted as it is carried across a chunk boundary breaks
+    final queue = arrivals - departures."""
+    shrink_scan_chunks(monkeypatch, 10)
+    lanes = mixed_cyclic_lanes(6, 3, 12)
+    real = evaluator._lindley
+    calls = []
+
+    def corrupt(queues, serve, arrivals):
+        start, carried = real(queues, serve, arrivals)
+        calls.append(None)
+        if len(calls) == 9:
+            carried = carried.copy()
+            carried[5, 4] += 1
+        return start, carried
+
+    monkeypatch.setattr(evaluator, "_lindley", corrupt)
+    with pytest.raises(RuntimeError, match="conservation"):
+        evaluator.run_cyclic_scan(lanes)
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
@@ -414,8 +532,8 @@ def test_lockstep_checks_every_slot(monkeypatch):
     real = evaluator._esl_lockstep
     calls = []
 
-    def faulty(lanes, local, t):
-        serve, end = real(lanes, local, t)
+    def faulty(lanes, local):
+        serve, end = real(lanes, local)
         calls.append(None)
         if len(calls) == 37:
             end = end.copy()

@@ -3,6 +3,7 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ from eslsim import (
     switch_to_shortest_decide,
     tuned_dwell,
 )
-from eslsim.policies import block_size
+from eslsim.policies import block_size, patrol_end
 
 
 def test_esl_sends_idle_robot_to_longest_free_queue():
@@ -305,6 +306,23 @@ def test_closed_form_matches_oracle_from_random_starts():
             start = random_state(rng, n, m)
             for got, want in patrol_pairs(start, d, 100, rng):
                 assert got == want, (start, d)
+
+
+def test_patrol_end_is_the_same_on_ints_and_on_arrays():
+    """The scan's (slot, lane, robot) array call agrees with the scalar
+    call cyclic_decide makes, entry by entry."""
+    legs = [(1, 0, 3), (0, 3, 2), (1, 5, 2)]
+    leads, starts, sizes = (np.array(col) for col in zip(*legs))
+    dwells = [1, 2, 5]
+    slots = np.arange(40)[:, None, None]
+    ends = patrol_end(slots, leads, starts, sizes, np.array(dwells)[:, None])
+    assert ends.shape == (40, 3, 3)
+    for now in range(40):
+        for k, dwell in enumerate(dwells):
+            assert ends[now, k].tolist() == [
+                patrol_end(now, lead, start, size, dwell)
+                for lead, start, size in legs
+            ]
 
 
 def test_dwell_objective_pinned_value():

@@ -1,6 +1,6 @@
 """Mutation check: break the exact solver, the coupling harness, the
-lockstep episode engine and the cyclic patrol on purpose and show that the
-tests notice.
+lockstep episode engine and the cyclic patrol and its scan on purpose and
+show that the tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
@@ -190,8 +190,8 @@ MUTANTS = [
     (
         "cyclic: a robot ends slot t where it should end slot t - 1",
         "src/eslsim/policies.py",
-        "end = start + (now + 1 - lead) // period % size",
-        "end = start + (now - lead) // period % size",
+        "return starts + (now + 1 - leads) // (dwell + 1) % sizes",
+        "return starts + (now - leads) // (dwell + 1) % sizes",
     ),
     (
         "cyclic: reset ignores a robot that starts off its block head",
@@ -200,10 +200,22 @@ MUTANTS = [
         "(0, start, size)",
     ),
     (
-        "lockstep cyclic: serves any nonempty queue, moving or not",
+        "scan: serves any nonempty queue, moving or not",
         "src/eslsim/evaluator.py",
-        "return (end == lanes.robots) & (local > 0), end",
-        "return local > 0, end",
+        "end[~stay] = -1",
+        "end[~stay] = end[~stay]",
+    ),
+    (
+        "scan: the schedule feasibility check never fires",
+        "src/eslsim/evaluator.py",
+        "if np.count_nonzero(serve) != end.size:",
+        "if False:",
+    ),
+    (
+        "scan: the carried queue is dropped at a chunk boundary",
+        "src/eslsim/evaluator.py",
+        "start_q, self.queues = _lindley(self.queues, serve, arrivals)",
+        "start_q, _ = _lindley(self.queues, serve, arrivals)",
     ),
 ]
 
