@@ -10,8 +10,8 @@ from eslsim import (
     build_truncated_mdp,
     check_esl_optimality,
     count_states,
-    q_values,
-    switch_to_shortest_decide,
+    orbit_id,
+    q_table,
     value_iteration,
 )
 
@@ -24,10 +24,20 @@ print(f"solved {len(table.values)} location orbits (for "
       f"sweeps, certified error bound {table.error_bound:.2e}")
 
 # Q-values at one state: robot at an empty location 0, work piling at 1.
+# The solver keeps one action per post-service orbit of the state's orbit,
+# as location bitmasks on its representative: where robots serve and where
+# they end the slot.
 state = SystemState((0,), (0, 4))
-q = q_values(mdp, table, state)
-for action, value in sorted(q.items(), key=lambda kv: kv[1]):
-    print(f"  {action}: {value:.6f}")
+s = orbit_id(mdp, state)
+lo, hi = mdp.sa_offsets[s], mdp.sa_offsets[s + 1]
+q = q_table(mdp, table.values)[lo:hi].tolist()
+print(f"orbit of {state}:")
+for (served, ends), value in sorted(
+    zip(mdp.actions[lo:hi].tolist(), q), key=lambda kv: kv[1]
+):
+    serve_at = [i for i in range(model.num_locations) if served >> i & 1]
+    end_at = [i for i in range(model.num_locations) if ends >> i & 1]
+    print(f"  serve at {serve_at}, end at {end_at}: {value:.6f}")
 print("cheapest action is the switch toward the backlog, as expected")
 
 # Audit every state far enough from the cap that truncation cannot bias
@@ -51,7 +61,7 @@ model3 = ModelConfig.symmetric(3, 1, 0.3, 0.9)
 mdp3 = build_truncated_mdp(model3, cap=4)
 table3 = value_iteration(mdp3, tol=1e-10)
 bad = check_esl_optimality(
-    mdp3, table3, margin=2, tie_tol=1e-9, rule=switch_to_shortest_decide
+    mdp3, table3, margin=2, tie_tol=1e-9, longest_first=False
 )
 print(f"switch-to-shortest audit: {sum(v.members for v in bad)} violations "
       f"at {len(bad)} representative(s):")

@@ -18,10 +18,8 @@ from .model import (
     RobotAction,
     SlotDelta,
     SystemState,
-    admissible_robot_actions,
     initial_state,
     is_feasible,
-    iter_joint_actions,
     sample_arrivals,
     step,
     switch_to,
@@ -75,7 +73,6 @@ from .mdp import (
     monotonicity_violations,
     orbit_id,
     q_table,
-    q_values,
     value_iteration,
 )
 from .coupling import (

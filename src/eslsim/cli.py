@@ -62,8 +62,6 @@ from .policies import (
     POLICY_NAMES,
     dwell_metadata,
     dwell_objective,
-    esl_decide,
-    switch_to_shortest_decide,
 )
 
 RESULT_COLUMNS = (
@@ -82,10 +80,8 @@ RESULT_COLUMNS = (
     "idle_ci",
 )
 
-CHECK_RULES = {
-    "esl": esl_decide,
-    "switch-shortest": switch_to_shortest_decide,
-}
+# the audited rule's name: serve-then-seek's longest_first flag
+CHECK_RULES = {"esl": True, "switch-shortest": False}
 
 
 class ConfigError(Exception):
@@ -488,7 +484,7 @@ def cmd_verify(args) -> int:
             table,
             inst["margin"],
             tie_tol=inst["tie_tol"],
-            rule=CHECK_RULES[rule_name],
+            longest_first=CHECK_RULES[rule_name],
         )
         dips = monotonicity_violations(mdp, table)
         if violations or dips:

@@ -43,6 +43,7 @@ from .policies import (
     make_policy,
     patrol_end,
     resolve_dwell,
+    serve_then_seek_lanes,
 )
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
@@ -254,21 +255,10 @@ LOCKSTEP_MIN_LANES = 10
 
 
 def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
-    """esl_decide in every lane: robots on nonempty queues serve; the k-th
-    remaining robot (by index) takes the k-th unoccupied nonempty location
-    ordered by (-queue, index), and robots past the last target idle."""
-    serve = local > 0
-    seek = ~serve
-    if not seek.any():
-        return serve, lanes.robots
-    queues = lanes.queues
-    free = queues > 0
-    free.reshape(-1)[lanes.pos] = False
-    order = np.argsort(np.where(free, -queues, 1), axis=1, kind="stable")
-    rank = np.cumsum(seek, axis=1) - 1
-    gets = seek & (rank < free.sum(axis=1, keepdims=True))
-    dest = order.reshape(-1).take(lanes.base + rank)
-    return serve, np.where(gets, dest, lanes.robots)
+    """esl_decide in every lane."""
+    return serve_then_seek_lanes(
+        lanes.robots, lanes.queues, longest_first=True
+    )
 
 
 def _fcfs_lockstep(table: np.ndarray, num_robots: int):

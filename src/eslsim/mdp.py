@@ -28,10 +28,13 @@ oracle: values and Q-values read through orbit_id match it within 1e-12.
 The optimality audit and the monotonicity check work on orbits too: a
 verdict at an ordered state is its orbit's, so each checks one
 representative per orbit and reports how many ordered states it stands
-for.  The audit walks the interior orbits (all queues at least `margin`
+for.  The audit reads the interior orbits (all queues at least `margin`
 below the cap, so boundary distortion from dropped arrivals cannot leak
-in) and reads each joint action's Q as cost + beta * W[orbit(post)];
-tests/ordered_audit.py keeps the audit over ordered states as its oracle.
+in) as lanes of the array serve-then-seek rule
+(policies.serve_then_seek_lanes), the lockstep engine's rule, and reads
+the Q of the rule's action and of each single-robot deviation from it as
+cost + beta * W[orbit(post)]; tests/ordered_audit.py keeps the audit over
+ordered states, joint by joint, as its oracle.
 """
 
 from __future__ import annotations
@@ -46,14 +49,15 @@ from .model import (
     IDLE,
     IDLE_ACTION,
     SERVE,
+    SERVE_ACTION,
     SWITCH,
     JointAction,
     ModelConfig,
-    RobotAction,
     SystemState,
-    iter_joint_actions,
+    lane_feasible,
+    switch_to,
 )
-from .policies import esl_decide
+from .policies import serve_then_seek_lanes
 
 DEFAULT_STATE_BUDGET = 5_000_000
 # rows x fan-out of one numpy pass in the builder, bounding its temporaries
@@ -487,43 +491,6 @@ def value_iteration(
     )
 
 
-def _moves(placement, joints, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Served counts (J, n) and end-of-slot occupancy (J, n) of each joint
-    action taken from placement."""
-    served = np.zeros((len(joints), n), dtype=np.int64)
-    ends = np.zeros((len(joints), n), dtype=bool)
-    for j, joint in enumerate(joints):
-        for loc, act in zip(placement, joint):
-            if act.kind == SWITCH:
-                ends[j, act.dest] = True
-            else:
-                ends[j, loc] = True
-                served[j, loc] = act.kind == SERVE
-    return served, ends
-
-
-def _q_row(
-    mdp: TruncatedMdp, w: np.ndarray, state: SystemState
-) -> dict[JointAction, float]:
-    """Q(a) = stage cost + beta * w[orbit(post)] for every feasible joint
-    of an ordered state, in iter_joint_actions order, w the expected next
-    value per post-service orbit (expected_values)."""
-    joints = list(iter_joint_actions(state))
-    served, ends = _moves(state.robots, joints, mdp.config.num_locations)
-    post = _ids(mdp, np.array(state.queues) - served, ends)
-    q = float(sum(state.queues)) + mdp.config.discount * w[post]
-    return dict(zip(joints, q.tolist()))
-
-
-def q_values(
-    mdp: TruncatedMdp, table: ValueTable, state: SystemState
-) -> dict[JointAction, float]:
-    """Q(a) = stage cost + beta * E[V(next)] for every feasible joint of an
-    ordered state, in iter_joint_actions order, read as
-    cost + beta * W[orbit(post)]."""
-    return _q_row(mdp, expected_values(mdp, table.values), state)
-
-
 def _representative(mdp: TruncatedMdp, keys: np.ndarray) -> SystemState:
     """The ordered state standing for the orbit with these canonical keys:
     their queues, with the robots on the occupied locations in ascending
@@ -563,37 +530,58 @@ class Violation:
     members: int = 1
 
 
+def _joint(serve: list, end: list) -> JointAction:
+    """The joint action of served flags and end locations, for robots
+    standing on locations 0..M-1."""
+    return tuple(
+        SERVE_ACTION if served else IDLE_ACTION if dest == r
+        else switch_to(dest)
+        for r, (served, dest) in enumerate(zip(serve, end))
+    )
+
+
+_KINDS = ("rule-action-infeasible", "not-argmin", "serve-not-strict",
+          "idle-not-strict", "shorter-not-strict")
+
+
 def check_esl_optimality(
     mdp: TruncatedMdp,
     table: ValueTable,
     margin: int,
     tie_tol: float = 1e-9,
-    rule=esl_decide,
+    longest_first: bool = True,
 ) -> list[Violation]:
-    """Audit the serve-longest rule against the exact Q-values.
+    """Audit serve-longest, or switch-shortest when longest_first is
+    false (policies.serve_then_seek), against the exact Q-values.
 
     A verdict at an ordered state is its orbit's: relabelling the
     locations maps the Q-values, the rule's post-service orbit and every
     single-robot deviation onto the matching ones at any other member.  So
-    the audit walks the interior orbits in id order and checks each at its
-    representative (_representative).  A joint action's Q is cost +
+    the audit checks each interior orbit at its representative, which has
+    its robots on locations 0..M-1 and its queues in key order: the
+    representatives are lanes of the array rule
+    (policies.serve_then_seek_lanes).  A joint action's Q is cost +
     beta * W[orbit(post)], W the solved values' expected next value per
     post-service orbit, and the minimum Q at a state is its orbit's own
     minimum, the sweep's.  At every interior representative the rule's
-    joint action must (a) attain the minimum Q up to tie_tol, (b) for each
-    robot with local work, beat every single-robot deviation to idle or
-    switch strictly, and (c) for each robot the rule sends to a queue, beat
-    both idling and switching to any strictly shorter nonempty queue.
-    Equal-length targets may tie (the arrival rates are symmetric in the
-    instances we check), which is why only strictly shorter targets are
-    compared.  Returns all failures, each with its orbit's members, so
-    sum(v.members) counts them over the ordered interior; an empty list
-    means the rule passed.
+    joint action must be feasible (model.lane_feasible; else
+    rule-action-infeasible is the orbit's one failure), and (a) attain
+    the minimum Q up to tie_tol, (b) for each robot with local work, beat
+    every single-robot deviation to idle or switch strictly, and (c) for
+    each robot the rule sends to a queue, beat both idling and switching
+    to any strictly shorter nonempty queue.  A deviation moves one robot's
+    end (to its own location for idling) and drops its service; it is
+    feasible where no other robot ends there.  Equal-length targets may
+    tie (the arrival rates are symmetric in the instances we check), which
+    is why only strictly shorter targets are compared.
 
-    The rule must choose by queue length, as esl and switch-shortest do.
-    Raises ValueError for an instance with more than one rate class:
-    there esl's index tie-break between equal-length targets in different
-    classes reaches different orbits.
+    Returns all failures, each with its orbit's members, so
+    sum(v.members) counts them over the ordered interior; an empty list
+    means the rule passed.  They come in orbit id order and within an
+    orbit not-argmin first, then per robot idling and the switches by
+    location.  Raises ValueError for an instance with more than one rate
+    class: there the rule's index tie-break between equal-length targets
+    in different classes reaches different orbits.
     """
     if margin < 1 or margin >= mdp.cap:
         raise ValueError("margin must satisfy 1 <= margin < cap")
@@ -602,93 +590,92 @@ def check_esl_optimality(
             "the orbit audit needs one rate class: with several, ties "
             "between equal-length targets reach different orbits"
         )
-    n = mdp.config.num_locations
+    n, m = mdp.config.num_locations, mdp.config.num_robots
+    radix, beta = mdp.cap + 1, mdp.config.discount
     w = expected_values(mdp, table.values)
-    orbit_min = bellman_update(mdp, table.values).tolist()
-    interior = (mdp.states % (mdp.cap + 1) <= mdp.cap - margin).all(axis=1)
+    interior = np.flatnonzero((mdp.states % radix < radix - margin).all(1))
+    queues = mdp.states[interior] % radix
+    robots = np.tile(np.arange(m), (len(interior), 1))
+    serve, end = serve_then_seek_lanes(
+        robots, queues, longest_first=longest_first
+    )
+    feasible = lane_feasible(robots, queues[:, :m], serve, end, n)
+
+    # the clauses read the lanes where the rule's action is feasible
+    lane = np.flatnonzero(feasible)
+    cost = queues[lane].sum(axis=1).astype(np.float64)
+    ends = np.zeros((len(lane), n), dtype=bool)
+    np.put_along_axis(ends, end[lane], True, axis=1)
+    served = np.pad(serve[lane], ((0, 0), (0, n - m)))  # robot r is at r
+
+    def q_at(k, served, ends):
+        """Q at lanes lane[k] for served and end flags per
+        location."""
+        post = mdp.orbits.ids(queues[lane[k]] - served + radix * ~ends)
+        return cost[k] + beta * w[post]
+
+    # (a): the rule's Q against the orbit's minimum
+    q_rule = q_at(slice(None), served, ends)
+    q_min = bellman_update(mdp, table.values)[interior[lane]]
+    worse = q_rule > q_min + tie_tol
+
+    # (b) and (c): candidates (k, r, j), robot r of lane[k] ending at j
+    # (j = r is idling), masked to the deviations each clause compares
+    moved = end[lane]
+    here, loc = np.arange(m)[:, None], np.arange(n)
+    work = queues[lane, :m] > 0
+    seeks = ~work & (moved != here.T)
+    at_j = queues[lane, None, :]
+    target = np.take_along_axis(queues[lane], moved, axis=1)[:, :, None]
+    eligible = work[:, :, None] | seeks[:, :, None] & (
+        (loc == here) | (at_j > 0) & (at_j < target)
+    )
+    free = ~ends[:, None, :] | (moved[:, :, None] == loc)
+    k, r, j = np.nonzero(eligible & free)
+    q_alt = np.empty(len(k))
+    for part in _chunks(len(k), n):
+        kp, rp, row = k[part], r[part], np.arange(len(k[part]))
+        alt_served, alt_ends = served[kp], ends[kp]
+        alt_served[row, rp] = False
+        alt_ends[row, moved[kp, rp]] = False
+        alt_ends[row, j[part]] = True
+        q_alt[part] = q_at(kp, alt_served, alt_ends)
+    tie = q_alt <= q_rule[k] + tie_tol
+    k, r, j = k[tie], r[tie], j[tie]
+
+    # every failure as (orbit, kind, gap, robot, dest), robot and dest -1
+    # where no deviation is compared
+    parts = (
+        (np.flatnonzero(~feasible), 0, math.inf, -1, -1),
+        (lane[worse], 1, (q_rule - q_min)[worse], -1, -1),
+        (lane[k], np.where(work[k, r], 2, np.where(j == r, 3, 4)),
+         q_rule[k] - q_alt[tie], r, j),
+    )
+    orbit, kind, gap, robot, dest = (
+        np.concatenate([np.broadcast_to(p[i], p[0].shape) for p in parts])
+        for i in range(5)
+    )
+    by = np.lexsort((dest, dest != robot, robot, orbit))
     violations: list[Violation] = []
-    for s in np.flatnonzero(interior).tolist():
-        state = _representative(mdp, mdp.states[s])
-        queues = state.queues
-        members = _orbit_size(mdp, mdp.states[s])
-        q = _q_row(mdp, w, state)
-        chosen = rule(state)
-        if chosen not in q:
-            violations.append(
-                Violation(state, "rule-action-infeasible", math.inf,
-                          members=members)
+    reps: dict[int, tuple[SystemState, int]] = {}
+    for s, c, g, rb, d in zip(
+        *(a[by].tolist() for a in (orbit, kind, gap, robot, dest))
+    ):
+        if s not in reps:
+            reps[s] = (
+                SystemState(tuple(range(m)), tuple(queues[s].tolist())),
+                _orbit_size(mdp, mdp.states[interior[s]]),
             )
-            continue
-        q_star = q[chosen]
-        q_min = orbit_min[s]
-        if q_star > q_min + tie_tol:
-            violations.append(
-                Violation(state, "not-argmin", q_star - q_min,
-                          members=members)
-            )
-        for r, loc in enumerate(state.robots):
-            here = chosen[r]
-            if queues[loc] > 0:
-                # local work: serving must strictly beat leaving or idling
-                for alt_act in _robot_deviations(state, r):
-                    alt = chosen[:r] + (alt_act,) + chosen[r + 1:]
-                    alt_q = q.get(alt)
-                    if alt_q is not None and alt_q <= q_star + tie_tol:
-                        violations.append(
-                            Violation(
-                                state,
-                                "serve-not-strict",
-                                q_star - alt_q,
-                                robot=r,
-                                alternative=alt,
-                                members=members,
-                            )
-                        )
-            elif here.kind == SWITCH:
-                target_len = queues[here.dest]
-                alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]
-                alt_q = q.get(alt)
-                if alt_q is not None and alt_q <= q_star + tie_tol:
-                    violations.append(
-                        Violation(
-                            state,
-                            "idle-not-strict",
-                            q_star - alt_q,
-                            robot=r,
-                            alternative=alt,
-                            members=members,
-                        )
-                    )
-                for j in range(n):
-                    if j == loc or not 0 < queues[j] < target_len:
-                        continue
-                    alt = (
-                        chosen[:r]
-                        + (RobotAction(SWITCH, j),)
-                        + chosen[r + 1:]
-                    )
-                    alt_q = q.get(alt)
-                    if alt_q is not None and alt_q <= q_star + tie_tol:
-                        violations.append(
-                            Violation(
-                                state,
-                                "shorter-not-strict",
-                                q_star - alt_q,
-                                robot=r,
-                                alternative=alt,
-                                members=members,
-                            )
-                        )
+        state, members = reps[s]
+        alt = None
+        if rb >= 0:
+            alt_serve, alt_end = serve[s].tolist(), end[s].tolist()
+            alt_serve[rb], alt_end[rb] = False, d
+            alt = _joint(alt_serve, alt_end)
+        violations.append(Violation(
+            state, _KINDS[c], g, None if rb < 0 else rb, alt, members
+        ))
     return violations
-
-
-def _robot_deviations(state: SystemState, robot: int):
-    """Idle and every switch for one robot, excluding its current action."""
-    loc = state.robots[robot]
-    yield IDLE_ACTION
-    for dest in range(len(state.queues)):
-        if dest != loc:
-            yield RobotAction(SWITCH, dest)
 
 
 def monotonicity_violations(

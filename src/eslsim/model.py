@@ -15,7 +15,7 @@ together, with the same feasibility checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,24 +124,6 @@ def initial_state(model: ModelConfig) -> SystemState:
     )
 
 
-def admissible_robot_actions(state: SystemState, robot: int) -> tuple[RobotAction, ...]:
-    """Actions robot may take on its own: serve only where tasks wait,
-    idle always, switch to any other location.
-
-    Joint feasibility (the collision rule) is checked separately by
-    is_feasible; this enumerates the per-robot menu only.
-    """
-    loc = state.robots[robot]
-    out: list[RobotAction] = []
-    if state.queues[loc] > 0:
-        out.append(SERVE_ACTION)
-    out.append(IDLE_ACTION)
-    for dest in range(len(state.queues)):
-        if dest != loc:
-            out.append(switch_to(dest))
-    return tuple(out)
-
-
 def is_feasible(state: SystemState, joint: JointAction) -> bool:
     """True iff every per-robot action is admissible and no two robots end
     the slot headed for the same location.
@@ -228,6 +210,25 @@ def step(
     return next_state, SlotDelta(tuple(departures), tuple(arrivals))
 
 
+def lane_feasible(
+    robots, local, serve, end, num_locations: int
+) -> np.ndarray:
+    """is_feasible in every lane: robots, local (the queue where each robot
+    stands), serve and end are (R, M) arrays, serve[k, r] saying robot r of
+    lane k serves and end[k, r] where it ends the slot.  Returns an (R,)
+    bool array, False where a robot serves an empty queue or serves while
+    moving, an end is off the map, or two robots end on one location."""
+    good = ~(serve & ((local <= 0) | (end != robots)))
+    good &= (end >= 0) & (end < num_locations)
+    # column by column: numpy reduces a short last axis slowly
+    ok = good[:, 0].copy()
+    for r in range(1, end.shape[1]):
+        ok &= good[:, r]
+        for other in range(r):
+            ok &= end[:, r] != end[:, other]
+    return ok
+
+
 class LockstepLanes:
     """R runs of one (N, M) instance, advanced together one slot at a time:
     robots is an (R, M) and queues an (R, N) integer array, each row one
@@ -264,31 +265,17 @@ class LockstepLanes:
 
         serve[k, r] says robot r of lane k serves where it stands; end[k, r]
         is where it ends the slot (its own location unless it switches).
-        Raises InfeasibleActionError, as step does, when any lane serves an
-        empty queue, serves while moving, leaves the map or puts two robots
-        on one location; nothing is applied then.
+        Raises InfeasibleActionError, as step does, when any lane fails
+        lane_feasible; nothing is applied then.
         """
         local = self.local()
-        bad = serve & ((local <= 0) | (end != self.robots))
-        bad |= (end < 0) | (end >= self.num_locations)
-        pos = self.base + end
-        # once every end is on the map, robots sharing an end location
-        # share a flat index
-        if bad.any() or np.bincount(pos.reshape(-1)).max() > 1:
+        if not lane_feasible(
+            self.robots, local, serve, end, self.num_locations
+        ).all():
             raise InfeasibleActionError("infeasible action")
+        pos = self.base + end
         self._flat[self.pos] = local - serve
         self.robots = end
         self.pos = pos
         np.add(self.queues, arrivals, out=self.queues)
 
-
-def iter_joint_actions(state: SystemState) -> Iterator[JointAction]:
-    """All feasible joint actions, in deterministic per-robot menu order."""
-    import itertools
-
-    menus = [
-        admissible_robot_actions(state, r) for r in range(len(state.robots))
-    ]
-    for joint in itertools.product(*menus):
-        if is_feasible(state, joint):
-            yield joint

@@ -7,6 +7,8 @@ reads the waiting tasks' arrival slots from its arguments, and cyclic_decide
 the slot index, since a patrolling robot's location depends on the slot
 alone.  FcfsPolicy holds the waiting tasks for one episode and CyclicPolicy
 each robot's patrol leg; reset sets them from the start state.
+serve_then_seek_lanes is serve_then_seek over arrays of lanes: the
+lockstep engine's esl rule and the rule the exact solver's audit checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from collections import deque
 from functools import partial
 from typing import Sequence
+
+import numpy as np
 
 from .model import (
     IDLE_ACTION,
@@ -70,6 +74,42 @@ def serve_then_seek(state: SystemState, *, longest_first: bool) -> JointAction:
         for r in seekers[len(targets):]:
             actions[r] = IDLE_ACTION
     return tuple(actions)
+
+
+_LAST = np.iinfo(np.int64).max
+
+
+def serve_then_seek_lanes(
+    robots: np.ndarray, queues: np.ndarray, *, longest_first: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """serve_then_seek in every lane: robots is an (R, M) and queues an
+    (R, N) integer array, each row one lane's state.  Returns the (R, M)
+    served flags and end locations.
+
+    Robots on nonempty queues serve.  The k-th remaining robot (by index)
+    takes the k-th unoccupied nonempty location ordered by queue length,
+    longest or shortest first, ties to the lower index; robots past the
+    last target end where they stand, idle.
+    """
+    # each lane's offset into the flattened queues
+    base = np.arange(0, queues.size, queues.shape[1])[:, None]
+    pos = base + robots
+    serve = queues.reshape(-1).take(pos) > 0
+    seek = ~serve
+    if not seek.any():
+        return serve, robots
+    free = queues > 0
+    free.reshape(-1)[pos] = False
+    # occupied and empty locations rank after every free one
+    order = np.argsort(
+        np.where(free, -queues if longest_first else queues, _LAST),
+        axis=1,
+        kind="stable",
+    )
+    rank = np.cumsum(seek, axis=1) - 1
+    gets = seek & (rank < free.sum(axis=1, keepdims=True))
+    dest = order.reshape(-1).take(base + rank)
+    return serve, np.where(gets, dest, robots)
 
 
 # The paper's exhaustive-serve-longest rule.

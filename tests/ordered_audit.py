@@ -1,18 +1,24 @@
 """The optimality audit and the monotonicity check over ordered states,
-kept as the oracle that the orbit versions in eslsim.mdp must match.
+kept as the oracle that the orbit versions in eslsim.mdp must match, with
+the joint-action enumeration they and tests/scalar_mdp.py read.
 
-lift spreads an orbit table over the ordered (placement x queue-digit)
-grid.  check_esl_optimality_ordered walks every ordered interior state,
+iter_joint_actions lists an ordered state's feasible joints from each
+robot's menu (admissible_robot_actions); q_values reads each one's Q from
+the orbit solver as cost + beta * W[orbit(post)].  lift spreads an orbit
+table over the ordered (placement x queue-digit) grid.
+check_esl_optimality_ordered walks every ordered interior state,
 placement-major with the queues in itertools.product order, and runs the
-same three clauses as eslsim.mdp.check_esl_optimality; its feasible joints
-come from one iter_joint_actions call per (placement, mask of robots on
-nonempty queues).  monotonicity_violations_ordered lists every ordered
-(state, location) pair where one more task lowers the lifted value.  Both
-hold every ordered state in memory, so they suit small instances only.
+same three clauses as eslsim.mdp.check_esl_optimality, with a scalar rule
+and a dict of Q per joint; its feasible joints come from one
+iter_joint_actions call per (placement, mask of robots on nonempty
+queues).  monotonicity_violations_ordered lists every ordered (state,
+location) pair where one more task lowers the lifted value.  Both hold
+every ordered state in memory, so they suit small instances only.
 """
 
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -21,19 +27,97 @@ from eslsim.mdp import (
     ValueTable,
     Violation,
     _ids,
-    _moves,
-    _robot_deviations,
     bellman_update,
     expected_values,
 )
 from eslsim.model import (
     IDLE_ACTION,
+    SERVE,
+    SERVE_ACTION,
     SWITCH,
+    JointAction,
     RobotAction,
     SystemState,
-    iter_joint_actions,
+    is_feasible,
+    switch_to,
 )
 from eslsim.policies import esl_decide
+
+
+def admissible_robot_actions(
+    state: SystemState, robot: int
+) -> tuple[RobotAction, ...]:
+    """Actions robot may take on its own: serve only where tasks wait,
+    idle always, switch to any other location.
+
+    Joint feasibility (the collision rule) is checked separately by
+    is_feasible; this enumerates the per-robot menu only.
+    """
+    loc = state.robots[robot]
+    out: list[RobotAction] = []
+    if state.queues[loc] > 0:
+        out.append(SERVE_ACTION)
+    out.append(IDLE_ACTION)
+    for dest in range(len(state.queues)):
+        if dest != loc:
+            out.append(switch_to(dest))
+    return tuple(out)
+
+
+def iter_joint_actions(state: SystemState) -> Iterator[JointAction]:
+    """All feasible joint actions, in deterministic per-robot menu order."""
+    menus = [
+        admissible_robot_actions(state, r) for r in range(len(state.robots))
+    ]
+    for joint in itertools.product(*menus):
+        if is_feasible(state, joint):
+            yield joint
+
+
+def _moves(placement, joints, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Served counts (J, n) and end-of-slot occupancy (J, n) of each joint
+    action taken from placement."""
+    served = np.zeros((len(joints), n), dtype=np.int64)
+    ends = np.zeros((len(joints), n), dtype=bool)
+    for j, joint in enumerate(joints):
+        for loc, act in zip(placement, joint):
+            if act.kind == SWITCH:
+                ends[j, act.dest] = True
+            else:
+                ends[j, loc] = True
+                served[j, loc] = act.kind == SERVE
+    return served, ends
+
+
+def q_row(
+    mdp: TruncatedMdp, w: np.ndarray, state: SystemState
+) -> dict[JointAction, float]:
+    """Q(a) = stage cost + beta * w[orbit(post)] for every feasible joint
+    of an ordered state, in iter_joint_actions order, w the expected next
+    value per post-service orbit (expected_values)."""
+    joints = list(iter_joint_actions(state))
+    served, ends = _moves(state.robots, joints, mdp.config.num_locations)
+    post = _ids(mdp, np.array(state.queues) - served, ends)
+    q = float(sum(state.queues)) + mdp.config.discount * w[post]
+    return dict(zip(joints, q.tolist()))
+
+
+def q_values(
+    mdp: TruncatedMdp, table: ValueTable, state: SystemState
+) -> dict[JointAction, float]:
+    """Q(a) = stage cost + beta * E[V(next)] for every feasible joint of an
+    ordered state, in iter_joint_actions order, read as
+    cost + beta * W[orbit(post)]."""
+    return q_row(mdp, expected_values(mdp, table.values), state)
+
+
+def _robot_deviations(state: SystemState, robot: int):
+    """Idle and every switch for one robot, excluding its current action."""
+    loc = state.robots[robot]
+    yield IDLE_ACTION
+    for dest in range(len(state.queues)):
+        if dest != loc:
+            yield RobotAction(SWITCH, dest)
 
 
 def _digits(base: int, n: int) -> np.ndarray:

@@ -25,8 +25,8 @@ from eslsim.model import (
     JointAction,
     ModelConfig,
     SystemState,
-    iter_joint_actions,
 )
+from ordered_audit import iter_joint_actions
 
 
 def stage_cost(state: SystemState) -> int:

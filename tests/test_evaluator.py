@@ -27,6 +27,7 @@ from eslsim import (
 )
 from eslsim import evaluator
 from eslsim.evaluator import _pregen_arrivals
+from eslsim.model import lane_feasible
 
 
 def config_for(policy, *, n=3, m=1, p=0.2, beta=0.95, horizon=200,
@@ -500,21 +501,25 @@ def lanes_at(robots, queues):
     return lanes
 
 
+# (serve, end, the one lane that fails) from lanes_at's two lanes, robots
+# (0, 1) over queues (2, 0, 1) and (0, 0, 4)
+INFEASIBLE_STEPS = [
+    # lane 1, robot 0 serves an empty queue
+    ([[True, False], [True, False]], [[0, 1], [0, 1]], 1),
+    # lane 0: robot 1 switches onto robot 0's location
+    ([[True, False], [False, False]], [[0, 0], [0, 1]], 0),
+    # lane 1: both robots switch to location 2
+    ([[True, False], [False, False]], [[0, 1], [2, 2]], 1),
+    # lane 0, robot 0 serves while moving
+    ([[True, False], [False, False]], [[2, 1], [0, 1]], 0),
+    # lane 1 leaves the map past either end
+    ([[True, False], [False, False]], [[0, 1], [0, 3]], 1),
+    ([[True, False], [False, False]], [[0, 1], [-1, 1]], 1),
+]
+
+
 @pytest.mark.parametrize(
-    "serve,end",
-    [
-        # lane 1, robot 0 serves an empty queue
-        ([[True, False], [True, False]], [[0, 1], [0, 1]]),
-        # lane 0: robot 1 switches onto robot 0's location
-        ([[True, False], [False, False]], [[0, 0], [0, 1]]),
-        # lane 1: both robots switch to location 2
-        ([[True, False], [False, False]], [[0, 1], [2, 2]]),
-        # lane 0, robot 0 serves while moving
-        ([[True, False], [False, False]], [[2, 1], [0, 1]]),
-        # lane 1 leaves the map past either end
-        ([[True, False], [False, False]], [[0, 1], [0, 3]]),
-        ([[True, False], [False, False]], [[0, 1], [-1, 1]]),
-    ],
+    "serve,end", [(serve, end) for serve, end, _ in INFEASIBLE_STEPS]
 )
 def test_lockstep_step_rejects_infeasible_lanes(serve, end):
     lanes = lanes_at([[0, 1], [0, 1]], [[2, 0, 1], [0, 0, 4]])
@@ -525,6 +530,40 @@ def test_lockstep_step_rejects_infeasible_lanes(serve, end):
         )
     assert (lanes.robots == before[0]).all()
     assert (lanes.queues == before[1]).all()
+
+
+@pytest.mark.parametrize("serve,end,lane", INFEASIBLE_STEPS)
+def test_lane_feasible_flags_only_the_failing_lane(serve, end, lane):
+    lanes = lanes_at([[0, 1], [0, 1]], [[2, 0, 1], [0, 0, 4]])
+    ok = lane_feasible(
+        lanes.robots, lanes.local(), np.array(serve), np.array(end), 3
+    )
+    assert ok.tolist() == [k != lane for k in range(2)]
+
+
+def test_lane_feasible_passes_feasible_lanes():
+    """Serving, idling, switching to a free location and onto one its
+    robot leaves are all feasible, with one robot or three."""
+    lanes = lanes_at([[0, 1], [2, 0]], [[2, 0, 1], [0, 0, 4]])
+    serve = np.array([[True, False], [True, False]])
+    end = np.array([[0, 2], [2, 1]])
+    assert lane_feasible(lanes.robots, lanes.local(), serve, end, 3).all()
+    one = lane_feasible(
+        np.array([[0], [1]]),
+        np.array([[1], [0]]),
+        np.array([[True], [False]]),
+        np.array([[0], [0]]),
+        2,
+    )
+    assert one.tolist() == [True, True]
+    three = lane_feasible(
+        np.array([[0, 1, 2]]),
+        np.array([[0, 0, 0]]),
+        np.zeros((1, 3), dtype=bool),
+        np.array([[1, 2, 0]]),
+        3,
+    )
+    assert three.tolist() == [True]
 
 
 def test_lockstep_checks_every_slot(monkeypatch):

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from ordered_audit import (
     check_esl_optimality_ordered,
     interior_states,
+    iter_joint_actions,
     lift,
     monotonicity_violations_ordered,
+    q_row,
+    q_values,
 )
 from scalar_mdp import build_truncated_mdp_scalar
 
@@ -34,11 +37,9 @@ from eslsim import (
     count_states,
     esl_decide,
     initial_state,
-    iter_joint_actions,
     monotonicity_violations,
     orbit_id,
     q_table,
-    q_values,
     switch_to,
     switch_to_shortest_decide,
     value_iteration,
@@ -264,11 +265,45 @@ def test_checker_flags_switch_to_shortest():
     mdp = build_truncated_mdp(model, cap=4)
     table = value_iteration(mdp, tol=1e-10)
     violations = check_esl_optimality(
-        mdp, table, margin=2, rule=switch_to_shortest_decide
+        mdp, table, margin=2, longest_first=False
     )
     assert violations
     assert {v.kind for v in violations} == {"not-argmin"}
     assert all(v.gap > 1e-9 for v in violations)
+
+
+def test_audit_flags_an_infeasible_rule_action_at_its_orbit(monkeypatch):
+    """A rule that sends robot 1 onto robot 0's location at one orbit's
+    representative is flagged there as rule-action-infeasible, that
+    orbit's only finding, with its members; every other orbit keeps its
+    findings.  tie_tol 1e9 makes every compared deviation a finding."""
+    model = ModelConfig.symmetric(4, 2, 0.2, 0.9)
+    mdp = build_truncated_mdp(model, cap=4)
+    table = value_iteration(mdp, tol=1e-10)
+    state = SystemState((0, 1), (1, 2, 0, 3))
+    real = mdp_module.serve_then_seek_lanes
+
+    def colliding(robots, queues, *, longest_first):
+        serve, end = real(robots, queues, longest_first=longest_first)
+        at = (queues == state.queues).all(axis=1)
+        assert at.sum() == 1
+        serve, end = serve.copy(), end.copy()
+        serve[at, 1], end[at, 1] = False, 0
+        return serve, end
+
+    clean = check_esl_optimality(mdp, table, 1, 1e9)
+    monkeypatch.setattr(mdp_module, "serve_then_seek_lanes", colliding)
+    found = check_esl_optimality(mdp, table, 1, 1e9)
+    members = {v.members for v in clean if v.state == state}
+    assert len(members) == 1
+    assert [v for v in found if v.state == state] == [
+        mdp_module.Violation(
+            state, "rule-action-infeasible", math.inf, members=members.pop()
+        )
+    ]
+    assert [v for v in found if v.state != state] == [
+        v for v in clean if v.state != state
+    ]
 
 
 @pytest.mark.parametrize("cap,margin", [(7, 4), (8, 5)])
@@ -453,14 +488,16 @@ def assert_same_findings(got, want):
         assert a == b or abs(a - b) <= 1e-12
 
 
-def assert_orbit_audit_matches_ordered(mdp, table, margin, **kwargs):
-    """The orbit audit against the ordered oracle: the same violating
-    orbits; at every member of one, the representative's (kind, gap)
-    findings; each representative's members the number of ordered
-    interior states in its orbit; and per kind, the members summing to
-    the ordered count."""
-    orbit = check_esl_optimality(mdp, table, margin, **kwargs)
-    ordered = check_esl_optimality_ordered(mdp, table, margin, **kwargs)
+def assert_orbit_audit_matches_ordered(mdp, table, margin, tie_tol, rule):
+    """The orbit audit, given rule's longest_first flag, against the
+    ordered oracle, given the scalar rule: the same violating orbits; at
+    every member of one, the representative's (kind, gap) findings; each
+    representative's members the number of ordered interior states in
+    its orbit; and per kind, the members summing to the ordered count."""
+    orbit = check_esl_optimality(
+        mdp, table, margin, tie_tol, rule.keywords["longest_first"]
+    )
+    ordered = check_esl_optimality_ordered(mdp, table, margin, tie_tol, rule)
     at_orbit, at_state = {}, {}
     for v in orbit:
         at_orbit.setdefault(orbit_id(mdp, v.state), []).append(
@@ -621,7 +658,7 @@ def lifted_q(mdp, table, states):
     """The orbit solver's Q at every ordered state-action, in the order of
     the states and of iter_joint_actions, with the joints."""
     w = mdp_module.expected_values(mdp, table.values)
-    rows = [mdp_module._q_row(mdp, w, state) for state in states]
+    rows = [q_row(mdp, w, state) for state in states]
     joints = tuple(joint for row in rows for joint in row)
     return joints, np.array([q for row in rows for q in row.values()])
 

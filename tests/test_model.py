@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_feasible_joint, system_states
+from ordered_audit import admissible_robot_actions, iter_joint_actions
 from scalar_mdp import stage_cost
 from eslsim import (
     IDLE_ACTION,
@@ -17,10 +18,8 @@ from eslsim import (
     RobotAction,
     SlotDelta,
     SystemState,
-    admissible_robot_actions,
     initial_state,
     is_feasible,
-    iter_joint_actions,
     sample_arrivals,
     step,
     switch_to,

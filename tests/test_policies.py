@@ -37,7 +37,12 @@ from eslsim import (
     switch_to_shortest_decide,
     tuned_dwell,
 )
-from eslsim.policies import block_size, patrol_end
+from eslsim.policies import (
+    block_size,
+    patrol_end,
+    serve_then_seek,
+    serve_then_seek_lanes,
+)
 
 
 def test_esl_sends_idle_robot_to_longest_free_queue():
@@ -95,6 +100,77 @@ def test_shortest_variant_is_feasible_and_targets_shortest(state):
         if queues[i] > 0 and i not in robots
     )
     assert sorted(queues[j] for j in targets) == free[: len(targets)]
+
+
+def assert_lanes_match_scalar(robots, queues, longest_first):
+    """serve_then_seek_lanes agrees with serve_then_seek in every lane:
+    the same served flags, and each robot's end its switch target or its
+    own location."""
+    robots, queues = np.array(robots), np.array(queues)
+    serve, end = serve_then_seek_lanes(
+        robots, queues, longest_first=longest_first
+    )
+    assert serve.shape == end.shape == robots.shape
+    for k in range(len(robots)):
+        state = SystemState(
+            tuple(robots[k].tolist()), tuple(queues[k].tolist())
+        )
+        joint = serve_then_seek(state, longest_first=longest_first)
+        assert serve[k].tolist() == [act == SERVE_ACTION for act in joint]
+        assert end[k].tolist() == [
+            loc if act.dest is None else act.dest
+            for loc, act in zip(state.robots, joint)
+        ]
+
+
+@st.composite
+def lane_batches(draw):
+    """Lanes of one (N, M) instance with short queues, so that equal
+    lengths and seekers without a target are common."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    lanes = draw(st.lists(
+        st.tuples(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    return [p[:m] for p, _ in lanes], [q for _, q in lanes]
+
+
+@given(lane_batches(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_array_rule_matches_scalar_rule(batch, longest_first):
+    assert_lanes_match_scalar(*batch, longest_first)
+
+
+@pytest.mark.parametrize("longest_first", [True, False])
+def test_array_rule_on_ties_idlers_and_spare_seekers(longest_first):
+    """Lanes where free targets tie on length, where every robot idles,
+    where seekers outnumber the free targets, where robots serve and seek
+    at once, and where the only nonempty queues are occupied."""
+    robots = [[0, 1, 2]] * 5
+    queues = [
+        [0, 0, 0, 5, 5, 1],
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 2, 0],
+        [3, 0, 0, 1, 4, 4],
+        [2, 1, 1, 0, 0, 0],
+    ]
+    assert_lanes_match_scalar(robots, queues, longest_first)
+    serve, end = serve_then_seek_lanes(
+        np.array(robots), np.array(queues), longest_first=longest_first
+    )
+    assert end.tolist() == (
+        [[3, 4, 5], [0, 1, 2], [4, 1, 2], [0, 4, 5], [0, 1, 2]]
+        if longest_first
+        else [[5, 3, 4], [0, 1, 2], [4, 1, 2], [0, 3, 4], [0, 1, 2]]
+    )
+    assert serve.tolist() == [[False] * 3] * 3 + [
+        [True, False, False], [True] * 3
+    ]
 
 
 def book_with(stamps_by_loc):

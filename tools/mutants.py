@@ -1,6 +1,6 @@
 """Mutation check: break the exact solver, the coupling harness, the
-lockstep episode engine and the cyclic patrol and its scan on purpose and
-show that the tests notice.
+array serve-then-seek rule, the lockstep episode engine and the cyclic
+patrol and its scan on purpose and show that the tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
@@ -28,7 +28,7 @@ REPO = Path(__file__).resolve().parents[1]
 # the fast tests first, so that -x stops most mutants early
 TESTS = ["tests/test_coupling.py", "tests/test_coupling_pin.py",
          "tests/test_policies.py", "tests/test_evaluator.py",
-         "tests/test_mdp.py"]
+         "tests/test_audit_pin.py", "tests/test_mdp.py"]
 
 # (name, file under the repo, text to replace, replacement)
 MUTANTS = [
@@ -39,10 +39,10 @@ MUTANTS = [
         "dips[:, i] = below[:, i] & (rise < -tol - 1e9)",
     ),
     (
-        "Q read at a state takes W at the neighbouring orbit id",
+        "audit reads Q with W at the neighbouring orbit id",
         "src/eslsim/mdp.py",
-        "q = float(sum(state.queues)) + mdp.config.discount * w[post]",
-        "q = float(sum(state.queues)) + mdp.config.discount * w[post - 1]",
+        "return cost[k] + beta * w[post]",
+        "return cost[k] + beta * w[post - 1]",
     ),
     (
         "canonical form sorts occupied and unoccupied queues as one multiset",
@@ -54,24 +54,20 @@ MUTANTS = [
     (
         "audit skips clause (c)",
         "src/eslsim/mdp.py",
-        "elif here.kind == SWITCH:",
-        "elif False:",
+        "seeks = ~work & (moved != here.T)",
+        "seeks = np.zeros_like(work)",
     ),
     (
-        "idle-not-strict fires only above a gap of 1.0",
+        "audit: clause (c) never compares idling (no idle-not-strict)",
         "src/eslsim/mdp.py",
-        "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                alt_q = q.get(alt)\n"
-        "                if alt_q is not None and alt_q <= q_star + tie_tol:",
-        "alt = chosen[:r] + (IDLE_ACTION,) + chosen[r + 1:]\n"
-        "                alt_q = q.get(alt)\n"
-        "                if alt_q is not None and q_star - alt_q > 1.0:",
+        "(loc == here) | (at_j > 0)",
+        "(at_j > 0)",
     ),
     (
         "orbit audit counts each violating orbit once",
         "src/eslsim/mdp.py",
-        "members = _orbit_size(mdp, mdp.states[s])",
-        "members = 1",
+        "_orbit_size(mdp, mdp.states[interior[s]]),",
+        "1,",
     ),
     (
         "coupling._record_gap never raises",
@@ -158,10 +154,16 @@ MUTANTS = [
         "key = stamps.take(cursor) * width + tiebreak",
     ),
     (
-        "lockstep esl: seekers take free queues in index order",
-        "src/eslsim/evaluator.py",
-        "np.where(free, -queues, 1)",
-        "np.where(free, 0, 1)",
+        "array rule: seekers take free queues in index order",
+        "src/eslsim/policies.py",
+        "np.where(free, -queues if longest_first else queues, _LAST)",
+        "np.where(free, 0, _LAST)",
+    ),
+    (
+        "array rule: the seeker rank is off by one",
+        "src/eslsim/policies.py",
+        "rank = np.cumsum(seek, axis=1) - 1",
+        "rank = np.cumsum(seek, axis=1)",
     ),
     (
         "lockstep fcfs: the walk stops one rank short",
@@ -170,22 +172,22 @@ MUTANTS = [
         "for k in range(num_robots - 1):",
     ),
     (
-        "lockstep step: the collision check allows two robots on a location",
+        "lane feasibility: two robots may end on one location",
         "src/eslsim/model.py",
-        "np.bincount(pos.reshape(-1)).max() > 1",
-        "np.bincount(pos.reshape(-1)).max() > 2",
+        "ok &= end[:, r] != end[:, other]",
+        "pass",
     ),
     (
-        "lockstep step: the range check lets an end sit one past the map",
+        "lane feasibility: an end may sit one past the map",
         "src/eslsim/model.py",
-        "(end >= self.num_locations)",
-        "(end > self.num_locations)",
+        "(end < num_locations)",
+        "(end <= num_locations)",
     ),
     (
-        "lockstep step: a robot may serve while it moves",
+        "lane feasibility: a robot may serve while it moves",
         "src/eslsim/model.py",
-        "bad = serve & ((local <= 0) | (end != self.robots))",
-        "bad = serve & (local <= 0)",
+        "good = ~(serve & ((local <= 0) | (end != robots)))",
+        "good = ~(serve & (local <= 0))",
     ),
     (
         "cyclic: a robot ends slot t where it should end slot t - 1",
