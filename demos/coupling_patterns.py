@@ -46,13 +46,15 @@ for name in SCENARIO_NAMES:
 
 # The per-path form is not a fluke of one seed.  Sweep many streams and
 # check each one; the deviation never pays.  coupled_runs gives the same
-# reports as coupled_run seed by seed, but advances all seeds together.
+# reports as coupled_run seed by seed, but advances all seeds together and
+# draws each seed's stream once for all four scenarios; it tags each
+# report with its scenario's index.
 print("\nsweeping 200 seeds per scenario:")
-for name in SCENARIO_NAMES:
-    scenario = make_scenario(name)
-    diffs = []
-    for report in coupled_runs(scenario, 2000, range(200)):
-        assert check_gap_pattern(report) == [], (name, report.seed)
-        diffs.append(report.discounted_diff)
+diffs = {name: [] for name in SCENARIO_NAMES}
+scenarios = [make_scenario(name) for name in SCENARIO_NAMES]
+for k, report in coupled_runs(scenarios, 2000, range(200)):
+    assert check_gap_pattern(report) == [], (report.scenario, report.seed)
+    diffs[SCENARIO_NAMES[k]].append(report.discounted_diff)
+for name, values in diffs.items():
     print(f"  {name}: every path matched its pattern, "
-          f"mean diff {fmean(diffs):+.4f}, min {min(diffs):+.4f}")
+          f"mean diff {fmean(values):+.4f}, min {min(values):+.4f}")

@@ -28,6 +28,7 @@ import time
 from datetime import datetime, timezone
 from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -511,39 +512,45 @@ def cmd_verify(args) -> int:
             }
         )
 
+    names = coupling["scenarios"]
+    scenarios = [
+        make_scenario(name, p=coupling["p"], discount=coupling["beta"])
+        for name in names
+    ]
+    # per scenario, in config order; diffs[k, seed] as float64, lighter
+    # than lists of floats, read back in seed order for the sums
+    failures = [0] * len(names)
+    uncoupled = [0] * len(names)
+    first_problems: list[list[str]] = [[] for _ in names]
+    diffs = np.empty((len(names), coupling["seeds"]))
+    for k, report in coupled_runs(
+        scenarios, coupling["horizon"], range(coupling["seeds"])
+    ):
+        problems = check_gap_pattern(report)
+        if problems:
+            failures[k] += 1
+            if not report.coupled:
+                uncoupled[k] += 1
+            if len(first_problems[k]) < 5:
+                first_problems[k].extend(problems[:2])
+        diffs[k, report.seed] = report.discounted_diff
+    if any(failures):
+        ok = False
+    common = {key: coupling[key] for key in ("seeds", "horizon", "p", "beta")}
     coupling_reports = []
-    for name in coupling["scenarios"]:
-        scenario = make_scenario(
-            name, p=coupling["p"], discount=coupling["beta"]
-        )
-        failures = 0
-        uncoupled = 0
-        first_problems: list[str] = []
-        diffs = []
-        for report in coupled_runs(
-            scenario, coupling["horizon"], range(coupling["seeds"])
-        ):
-            problems = check_gap_pattern(report)
-            if problems:
-                failures += 1
-                if not report.coupled:
-                    uncoupled += 1
-                if len(first_problems) < 5:
-                    first_problems.extend(problems[:2])
-            diffs.append(report.discounted_diff)
-        if failures:
-            ok = False
+    for k, name in enumerate(names):
+        d = diffs[k].tolist()
         coupling_reports.append(
             {
                 "scenario": name,
-                **{k: coupling[k] for k in ("seeds", "horizon", "p", "beta")},
-                "pattern_failures": failures,
-                "uncoupled_runs": uncoupled,
-                "sample_problems": first_problems,
+                **common,
+                "pattern_failures": failures[k],
+                "uncoupled_runs": uncoupled[k],
+                "sample_problems": first_problems[k],
                 "mean_discounted_diff": _round6(
-                    sum(diffs) / len(diffs) if diffs else float("nan")
+                    sum(d) / len(d) if d else float("nan")
                 ),
-                "min_discounted_diff": _round6(min(diffs)) if diffs else None,
+                "min_discounted_diff": _round6(min(d)) if d else None,
             }
         )
 

@@ -30,10 +30,13 @@ identically in both systems, and must sit away from the locations the
 scenario manipulates.
 
 There are two engines with equal reports.  coupled_run is the readable
-paired slot loop, one seed at a time, and the reference the other is
-tested against.  coupled_runs, which verify runs, advances the seeds of a
-scenario together as lanes: integer arrays stepped by LockstepLanes, which
-checks every lane's moves each slot as step does.  Everything particular
+paired slot loop, one scenario and one seed at a time, and the reference
+the other is tested against.  coupled_runs, which verify runs, takes a
+list of scenarios and advances the seeds together as lanes, one chunk of
+seeds at a time: integer arrays stepped by LockstepLanes, which checks
+every lane's moves each slot as step does.  All scenarios read the same
+seeds, so each seed's generator is built once per chunk and its first
+block of uniforms is shared by every scenario.  Everything particular
 to a scenario (its default instance, precondition, scripted moves and
 meeting test in scalar and lane form, and predicted gap shape) sits in one
 _Script subclass, looked up by code in _SCRIPTS.
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -564,39 +567,68 @@ def coupled_run(
             coupling_time = t + 1
             break
     return _finish(
-        scenario, seed, horizon, gap, script.tau, script.k, coupling_time
+        scenario, seed, horizon, gap, script.tau, script.k, coupling_time,
+        _extend_powers([], scenario.model.discount, len(gap)),
     )
 
 
 # Seeds run as lanes in chunks of _CHUNK, so memory does not grow with the
-# seed count.  Each lane draws _BLOCK slots of arrivals up front, enough for
-# nearly every run at moderate load; the few lanes still running then draw
-# further.
+# seed count.  Each seed's first _BLOCK slots of uniforms are drawn up front,
+# once for all scenarios, enough for nearly every run at moderate load; the
+# few lanes still running then draw further.
 _CHUNK = 512
 _BLOCK = 32
 
 
 def coupled_runs(
-    scenario: CouplingScenario, horizon: int, seeds: Iterable[int]
-) -> Iterator[CouplingReport]:
-    """coupled_run(scenario, horizon, seed) for each seed, in order.
+    scenarios: Sequence[CouplingScenario],
+    horizon: int,
+    seeds: Iterable[int],
+) -> Iterator[tuple[int, CouplingReport]]:
+    """(k, coupled_run(scenarios[k], horizon, seed)) for every scenario
+    and seed: chunk by chunk of the seeds, and within a chunk scenario by
+    scenario in list order, so each scenario's reports come in seed order.
 
-    The seeds of each chunk run together as lanes of LockstepLanes, one G
-    and one PI, through the scenario's lane_moves and lane_met; a lane
-    drops out once it has met.  Every slot LockstepLanes.step checks each
-    lane's moves as step does, and the conservation identity is asserted
-    per lane.  Each lane draws its arrivals from its own default_rng(seed)
-    in coupled_run's order, and _finish builds its report, so every report
-    equals coupled_run's to the last bit.
+    Each seed's generator is built once per chunk for all the scenarios:
+    its first block is one row of uniforms from default_rng(seed), as many
+    as the widest scenario reads, and a scenario on N locations reads the
+    row's first N per slot, which is what random((slots, N)) would have
+    drawn.  The seeds then run together as lanes of LockstepLanes, one G
+    and one PI per scenario, through the scenario's lane_moves and
+    lane_met; a lane drops out once it has met, and a lane that outlives
+    its first block draws on from its own default_rng(seed).  Every slot
+    LockstepLanes.step checks each lane's moves as step does, and the
+    conservation identity is asserted per lane.  _finish builds each
+    report, so every report equals coupled_run's to the last bit.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
-    seeds = list(seeds)
-    return (
-        report
-        for i in range(0, len(seeds), _CHUNK)
-        for report in _lane_reports(scenario, horizon, seeds[i:i + _CHUNK])
-    )
+    return _chunk_reports(list(scenarios), horizon, list(seeds))
+
+
+def _chunk_reports(
+    scenarios: list[CouplingScenario], horizon: int, seeds: list[int]
+) -> Iterator[tuple[int, CouplingReport]]:
+    if not scenarios:
+        return
+    width = max(len(s.model.arrival_probs) for s in scenarios)
+    size = min(horizon, _BLOCK) * width
+    for i in range(0, len(seeds), _CHUNK):
+        chunk = seeds[i:i + _CHUNK]
+        uniforms = _first_uniforms(chunk, size)
+        for k, scenario in enumerate(scenarios):
+            for report in _lane_reports(scenario, horizon, chunk, uniforms):
+                yield k, report
+
+
+def _first_uniforms(seeds: list[int], size: int) -> np.ndarray:
+    """(lanes, size) floats, row i the first size uniforms of
+    default_rng(seeds[i]); PCG64 fills doubles in stream order, so a
+    row's first slots * N values are random((slots, N)) row-major."""
+    out = np.empty((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        np.random.default_rng(seed).random(out=row)
+    return out
 
 
 def _arrival_block(
@@ -631,11 +663,18 @@ def _lane_step(
 
 
 def _lane_reports(
-    scenario: CouplingScenario, horizon: int, seeds: list[int]
+    scenario: CouplingScenario,
+    horizon: int,
+    seeds: list[int],
+    uniforms: np.ndarray,
 ) -> list[CouplingReport]:
+    """coupled_run's report for each seed, the first min(horizon, _BLOCK)
+    slots' arrivals read from uniforms (_first_uniforms)."""
     script = _SCRIPTS[scenario.name]()
     probs = np.array(scenario.model.arrival_probs)
     n = len(probs)
+    beta = scenario.model.discount
+    powers: list[float] = []
     script.tau = np.full(len(seeds), -1)
     g = LockstepLanes(len(seeds), scenario.initial_state)
     pi = LockstepLanes(len(seeds), scenario.initial_state)
@@ -643,12 +682,13 @@ def _lane_reports(
     live = np.arange(len(seeds))  # each live lane's index in seeds
     gap = np.zeros(len(seeds), dtype=np.int64)
     start, stop = 0, min(horizon, _BLOCK)
-    block = _arrival_block(seeds, start, stop, probs)
+    block = uniforms[:, :stop * n].reshape(len(seeds), stop, n) < probs
     history = np.zeros((len(seeds), stop + 1), dtype=np.int64)
     reports: list = [None] * len(seeds)
 
     def settle(mask, coupling_time):
         # reports of the lanes in mask, whose gap runs to slot t + 1
+        _extend_powers(powers, beta, t + 2)
         ks = repeat(None) if script.k is None else script.k[mask].tolist()
         for i, row, tau, k in zip(
             live[mask].tolist(),
@@ -658,7 +698,7 @@ def _lane_reports(
         ):
             reports[i] = _finish(
                 scenario, seeds[i], horizon, row,
-                None if tau < 0 else tau, k, coupling_time,
+                None if tau < 0 else tau, k, coupling_time, powers,
             )
 
     for t in range(horizon):
@@ -705,6 +745,14 @@ def _record_gap(
         )
 
 
+def _extend_powers(
+    powers: list[float], beta: float, count: int
+) -> list[float]:
+    """powers, which holds beta**0, beta**1, ..., extended to count terms."""
+    powers.extend(beta**t for t in range(len(powers), count))
+    return powers
+
+
 def _finish(
     scenario: CouplingScenario,
     seed: int,
@@ -713,16 +761,18 @@ def _finish(
     tau: int | None,
     k: int | None,
     coupling_time: int | None,
+    powers: list[float],
 ) -> CouplingReport:
+    """The report of one run; powers holds beta**t for every slot of gap."""
     beta = scenario.model.discount
     coupled = coupling_time is not None
     if coupled:
         terminal = gap[coupling_time]
-        diff = sum(beta**t * gap[t] for t in range(coupling_time))
-        diff += beta**coupling_time * terminal / (1.0 - beta)
+        diff = sum(p * g for p, g in zip(powers[:coupling_time], gap))
+        diff += powers[coupling_time] * terminal / (1.0 - beta)
     else:
         terminal = gap[-1]
-        diff = sum(beta**t * g for t, g in enumerate(gap))
+        diff = sum(p * g for p, g in zip(powers, gap))
     return CouplingReport(
         scenario=scenario.name,
         seed=seed,

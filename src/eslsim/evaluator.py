@@ -13,9 +13,10 @@ run_cyclic_scan: the patrol is a closed form in the slot index
 service schedule, solved with array scans one time chunk at a time.  Large
 esl and fcfs groups go to run_lockstep, which advances many episodes
 together as integer arrays, one slot per step.  Both reproduce
-run_episode's metrics exactly.  All three engines draw arrivals with
-_draw_arrivals, build each lane's policy with make_policy and their metrics
-with _metrics.
+run_episode's metrics exactly.  run_episode draws arrivals with
+_draw_arrivals; the lane engines draw the same tables with
+_lockstep_arrivals, one generator per distinct seed of a group.  All three
+build each lane's policy with make_policy and their metrics with _metrics.
 """
 
 from __future__ import annotations
@@ -325,11 +326,22 @@ def _fcfs_lockstep(table: np.ndarray, num_robots: int):
 def _lockstep_arrivals(
     group: Sequence[tuple[ExperimentConfig, int]], horizon: int, n: int
 ) -> np.ndarray:
-    """(horizon, R, N) bool arrival table; lane k is drawn by _draw_arrivals
-    from its own seed, exactly as run_episode draws it."""
+    """(horizon, R, N) bool arrival table; lane k holds the indicators
+    _draw_arrivals gives its (config, seed), exactly as run_episode draws
+    them.  Lanes that share a seed share its generator: each chunk of
+    uniforms is drawn once and compared with every such lane's probs."""
     table = np.empty((horizon, len(group), n), dtype=bool)
-    for k, (config, seed) in enumerate(group):
-        _draw_arrivals(config.model, seed, table[:, k])
+    lanes_of: dict[int, list[int]] = {}
+    for k, (_, seed) in enumerate(group):
+        lanes_of.setdefault(seed, []).append(k)
+    probs = [np.asarray(config.model.arrival_probs) for config, _ in group]
+    for seed, lanes in lanes_of.items():
+        rng = np.random.default_rng(seed)
+        for t0 in range(0, horizon, _ARRIVAL_CHUNK_ROWS):
+            chunk = table[t0:t0 + _ARRIVAL_CHUNK_ROWS]
+            uniforms = rng.random((len(chunk), n))
+            for k in lanes:
+                np.less(uniforms, probs[k], out=chunk[:, k])
     return table
 
 

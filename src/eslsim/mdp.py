@@ -508,10 +508,12 @@ def _orbit_size(mdp: TruncatedMdp, keys: np.ndarray) -> int:
     of the class's keys over its locations, which is C(|c|, k) times the
     multinomials of its occupied and of its unoccupied queues."""
     size = math.factorial(mdp.config.num_robots)
+    row = keys.tolist()
     for cols in mdp.orbits.classes:
-        _, mults = np.unique(keys[cols], return_counts=True)
+        # canonical keys are sorted within a class, so equal keys are runs
         size *= math.factorial(len(cols)) // math.prod(
-            math.factorial(k) for k in mults.tolist()
+            math.factorial(len(list(run)))
+            for _, run in itertools.groupby(row[c] for c in cols)
         )
     return size
 

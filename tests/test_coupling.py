@@ -320,7 +320,7 @@ def test_displaced_task_breaks_the_lane_meeting_check(
             LockstepLanes, "step", _lanes_step_moving_tasks(call, src, dst)
         )
         with pytest.raises(RuntimeError, match=message):
-            list(coupled_runs(scenario, 2000, [seed]))
+            list(coupled_runs([scenario], 2000, [seed]))
 
 
 def test_drained_long_queue_breaks_prop4_on_both_engines(monkeypatch):
@@ -337,7 +337,7 @@ def test_drained_long_queue_breaks_prop4_on_both_engines(monkeypatch):
             LockstepLanes, "step", _lanes_step_moving_tasks(1, 1, 2, 99)
         )
         with pytest.raises(RuntimeError, match="ran dry"):
-            list(coupled_runs(scenario, 2000, [seed]))
+            list(coupled_runs([scenario], 2000, [seed]))
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -359,7 +359,7 @@ def test_lost_departure_breaks_the_lane_conservation_check(
 
     monkeypatch.setattr(LockstepLanes, "step", lossy_step)
     with pytest.raises(RuntimeError, match="conservation identity"):
-        list(coupled_runs(make_scenario(name), 200, range(5)))
+        list(coupled_runs([make_scenario(name)], 200, range(5)))
     assert kept
 
 
@@ -367,12 +367,17 @@ def _reprs(reports):
     return [repr(report) for report in reports]
 
 
+def lane_runs(scenario, horizon, seeds):
+    """coupled_runs on one scenario, as its reports."""
+    return (report for _, report in coupled_runs([scenario], horizon, seeds))
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_lanes_match_coupled_run_across_chunks(name):
     scenario = make_scenario(name)
     seeds = range(2 * eslsim.coupling._CHUNK + 3)
     for horizon in (3, 2000):
-        assert _reprs(coupled_runs(scenario, horizon, seeds)) == _reprs(
+        assert _reprs(lane_runs(scenario, horizon, seeds)) == _reprs(
             coupled_run(scenario, horizon, seed) for seed in seeds
         )
 
@@ -386,10 +391,10 @@ def test_lanes_outliving_their_arrival_block_match_coupled_run():
     seeds = range(200)
     block = eslsim.coupling._BLOCK
     for horizon in (1, block + 8, 2 * block, 2 * block + 1, 2000):
-        assert _reprs(coupled_runs(scenario, horizon, seeds)) == _reprs(
+        assert _reprs(lane_runs(scenario, horizon, seeds)) == _reprs(
             coupled_run(scenario, horizon, seed) for seed in seeds
         )
-    slots = [len(r.gap) - 1 for r in coupled_runs(scenario, 2000, seeds)]
+    slots = [len(r.gap) - 1 for r in lane_runs(scenario, 2000, seeds)]
     assert min(slots) > block
     assert max(slots) > 2 * block
 
@@ -397,7 +402,7 @@ def test_lanes_outliving_their_arrival_block_match_coupled_run():
 def test_lane_reports_come_back_in_seed_order():
     # seed 7's lane meets first, two slots before either lane of seed 3
     scenario = make_scenario("prop1B")
-    reports = list(coupled_runs(scenario, 2000, [3, 7, 3]))
+    reports = list(lane_runs(scenario, 2000, [3, 7, 3]))
     assert [r.seed for r in reports] == [3, 7, 3]
     assert [r.coupling_time for r in reports] == [6, 4, 6]
     assert _reprs(reports) == _reprs(
@@ -407,7 +412,58 @@ def test_lane_reports_come_back_in_seed_order():
 
 def test_lanes_take_no_seeds_and_reject_a_bad_horizon():
     scenario = make_scenario("prop1B")
-    assert list(coupled_runs(scenario, 10, [])) == []
+    assert list(coupled_runs([scenario], 10, [])) == []
     for horizon in (0, -3):
         with pytest.raises(ValueError, match="horizon"):
-            coupled_runs(scenario, horizon, [0])
+            coupled_runs([scenario], horizon, [0])
+
+
+def test_mixed_scenarios_share_each_seed_and_match_coupled_run():
+    """Scenarios of two widths (N 2 and 3) and two p and beta read one
+    shared first block per seed; 1,027 seeds cross two chunk boundaries,
+    and the prop1B lanes from 30 tasks outlive their first block."""
+    scenarios = [
+        make_scenario("prop1A"),
+        make_scenario("prop4"),
+        make_scenario(
+            "prop1B",
+            p=0.4,
+            discount=0.95,
+            initial_state=SystemState((0,), (30, 0)),
+        ),
+    ]
+    seeds = range(1027)
+    chunk = eslsim.coupling._CHUNK
+    pairs = list(coupled_runs(scenarios, 2000, seeds))
+    assert [(k, r.seed) for k, r in pairs] == [
+        (k, seed)
+        for i in range(0, len(seeds), chunk)
+        for k in range(len(scenarios))
+        for seed in seeds[i:i + chunk]
+    ]
+    assert [repr(r) for _, r in pairs] == [
+        repr(coupled_run(scenarios[k], 2000, r.seed)) for k, r in pairs
+    ]
+    slots = [len(r.gap) - 1 for k, r in pairs if k == 2]
+    assert min(slots) > eslsim.coupling._BLOCK
+
+
+def test_each_seed_builds_one_generator_for_every_scenario(monkeypatch):
+    """Within its first block a run needs no generator of its own: a run
+    of the four scenarios builds default_rng(seed) once per seed, and a
+    run of none builds none."""
+    real_rng = np.random.default_rng
+    built = []
+
+    def counting_rng(seed):
+        built.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    scenarios = [make_scenario(name) for name in SCENARIO_NAMES]
+    seeds = range(eslsim.coupling._CHUNK + 88)
+    assert list(coupled_runs([], eslsim.coupling._BLOCK, seeds)) == []
+    assert built == []
+    pairs = list(coupled_runs(scenarios, eslsim.coupling._BLOCK, seeds))
+    assert len(pairs) == len(scenarios) * len(seeds)
+    assert built == list(seeds)

@@ -346,6 +346,32 @@ def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
     assert engine(lanes) == [run_episode(cell, seed) for cell, seed in lanes]
 
 
+def test_lanes_sharing_a_seed_draw_it_once(monkeypatch):
+    """Each seed's generator serves every lane with that seed, whatever
+    its p, and each lane's table is still its own _draw_arrivals."""
+    monkeypatch.setattr(evaluator, "_ARRIVAL_CHUNK_ROWS", 7)
+    lanes = [
+        (cell, seed)
+        for cell in lockstep_cells("esl", 6, 3, horizon=30)
+        for seed in (5, 3, 9)
+    ] + [(lockstep_cells("esl", 6, 3, horizon=30)[2], 4)]
+    real_rng = np.random.default_rng
+    built = []
+
+    def counting_rng(seed):
+        built.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    table = evaluator._lockstep_arrivals(lanes, 30, 6)
+    assert built == [5, 3, 9, 4]
+    monkeypatch.setattr(np.random, "default_rng", real_rng)
+    for k, (cell, seed) in enumerate(lanes):
+        want = np.empty((30, 6), dtype=bool)
+        evaluator._draw_arrivals(cell.model, seed, want)
+        assert (table[:, k] == want).all()
+
+
 def mixed_cyclic_lanes(n, m, count, horizon=120):
     """count cyclic lanes of one group, cycling through p = 0, p = 1, an
     unstable alpha = 1.1 and a stable alpha = 0.4, each with its own dwell

@@ -102,8 +102,8 @@ MUTANTS = [
     (
         "coupling: the geometric tail divides before it scales",
         "src/eslsim/coupling.py",
-        "diff += beta**coupling_time * terminal / (1.0 - beta)",
-        "diff += beta**coupling_time * (terminal / (1.0 - beta))",
+        "diff += powers[coupling_time] * terminal / (1.0 - beta)",
+        "diff += powers[coupling_time] * (terminal / (1.0 - beta))",
     ),
     (
         "coupling lanes: the conservation check never raises",
@@ -122,6 +122,13 @@ MUTANTS = [
         "src/eslsim/coupling.py",
         ".random((stop, len(probs)))[start:]",
         ".random((stop, len(probs)))[:stop - start]",
+    ),
+    (
+        "coupling lanes: a narrower scenario reads the shared first block "
+        "column-strided",
+        "src/eslsim/coupling.py",
+        "uniforms[:, :stop * n].reshape(len(seeds), stop, n)",
+        "uniforms.reshape(len(seeds), stop, -1)[..., :n]",
     ),
     (
         "coupling lanes: prop1A never checks the meeting at the return slot",
