@@ -588,21 +588,16 @@ def cmd_dwell(args) -> int:
     p = args.p
     n = args.n
     search_max = args.max
-    if not 0.0 < p < 1.0:
-        print("dwell: degenerate rate: p must lie strictly in (0, 1)",
-              file=sys.stderr)
-        return 2
-    if n < 1:
-        print("dwell: n must be at least 1", file=sys.stderr)
-        return 2
-    if search_max < 1:
-        print("dwell: --max must be at least 1", file=sys.stderr)
+    try:
+        meta = dwell_metadata(p, n, search_max)
+    except ValueError as exc:
+        print(f"dwell: {exc}", file=sys.stderr)
         return 2
     print(f"# p={_fmt(p)} n={n} objective f(n*t) per integer dwell t")
     print("t,f")
     for t in range(1, search_max + 1):
         print(f"{t},{_fmt(dwell_objective(p, n, float(n * t)))}")
-    meta = {k: _fmt(v) for k, v in dwell_metadata(p, n, search_max).items()}
+    meta = {k: _fmt(v) for k, v in meta.items()}
     print(
         "# scan argmin: t*={scan_t} f={scan_objective}\n"
         "# continuous argmin: u*={continuous_u} floor={floor_t}"

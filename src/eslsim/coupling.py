@@ -36,10 +36,11 @@ list of scenarios and advances the seeds together as lanes, one chunk of
 seeds at a time: integer arrays stepped by LockstepLanes, which checks
 every lane's moves each slot as step does.  All scenarios read the same
 seeds, so each seed's generator is built once per chunk and its first
-block of uniforms is shared by every scenario.  Everything particular
-to a scenario (its default instance, precondition, scripted moves and
-meeting test in scalar and lane form, and predicted gap shape) sits in one
-_Script subclass, looked up by code in _SCRIPTS.
+block of uniforms is shared by every scenario; lanes that outlive that
+block draw on with model.arrival_table, the draw every lane engine shares.
+Everything particular to a scenario (its default instance, precondition,
+scripted moves and meeting test in scalar and lane form, and predicted gap
+shape) sits in one _Script subclass, looked up by code in _SCRIPTS.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .model import (
     ModelConfig,
     RobotAction,
     SystemState,
+    arrival_table,
     sample_arrivals,
     step,
     switch_to,
@@ -596,7 +598,8 @@ def coupled_runs(
     drawn.  The seeds then run together as lanes of LockstepLanes, one G
     and one PI per scenario, through the scenario's lane_moves and
     lane_met; a lane drops out once it has met, and a lane that outlives
-    its first block draws on from its own default_rng(seed).  Every slot
+    its first block draws on from its own default_rng(seed), advanced
+    past the slots it has read, through model.arrival_table.  Every slot
     LockstepLanes.step checks each lane's moves as step does, and the
     conservation identity is asserted per lane.  _finish builds each
     report, so every report equals coupled_run's to the last bit.
@@ -629,21 +632,6 @@ def _first_uniforms(seeds: list[int], size: int) -> np.ndarray:
     for row, seed in zip(out, seeds):
         np.random.default_rng(seed).random(out=row)
     return out
-
-
-def _arrival_block(
-    seeds: list[int], start: int, stop: int, probs: np.ndarray
-) -> np.ndarray:
-    """(lanes, stop - start, N) arrival indicators of slots start..stop-1,
-    lane i's drawn from default_rng(seeds[i]) one random(N) row per slot,
-    as coupled_run draws them."""
-    return np.array(
-        [
-            np.random.default_rng(seed).random((stop, len(probs)))[start:]
-            < probs
-            for seed in seeds
-        ]
-    )
 
 
 def _lane_step(
@@ -705,9 +693,9 @@ def _lane_reports(
         if t == stop:
             # the live lanes outlived their block: draw their streams on
             start, stop = t, min(horizon, 2 * t)
-            block = _arrival_block(
-                [seeds[i] for i in live.tolist()], start, stop, probs
-            )
+            block = arrival_table(
+                [seeds[i] for i in live.tolist()], probs, stop, start
+            ).swapaxes(0, 1)
             history = np.pad(history, ((0, 0), (0, stop - start)))
         arrivals = block[:, t - start]
         g_serve, g_end, pi_serve, pi_end = script.lane_moves(t, g, pi)

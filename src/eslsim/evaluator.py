@@ -10,13 +10,14 @@ run_episode is the reference slot loop.  run_grid runs each group of
 episodes through run_lanes.  Cyclic groups of any size go to
 run_cyclic_scan: the patrol is a closed form in the slot index
 (policies.patrol_end), so each queue is a Lindley recursion on a known
-service schedule, solved with array scans one time chunk at a time.  Large
-esl and fcfs groups go to run_lockstep, which advances many episodes
-together as integer arrays, one slot per step.  Both reproduce
-run_episode's metrics exactly.  run_episode draws arrivals with
-_draw_arrivals; the lane engines draw the same tables with
-_lockstep_arrivals, one generator per distinct seed of a group.  All three
-build each lane's policy with make_policy and their metrics with _metrics.
+service schedule, solved with array scans one time chunk at a time, and
+each chunk's schedule passes model.lane_collision_free.  Large esl and
+fcfs groups go to run_lockstep, which advances many episodes together as
+integer arrays, one slot per step, with policies.serve_then_seek_lanes
+and policies.fcfs_lanes as its rules; it keeps only fcfs's FIFO book.
+Both reproduce run_episode's metrics exactly.  Every engine draws its
+arrivals with model.arrival_table, run_episode through the one-lane view
+_pregen_arrivals, and builds its metrics with _metrics.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ from .model import (
     InfeasibleActionError,
     LockstepLanes,
     ModelConfig,
+    arrival_table,
     initial_state,
+    lane_collision_free,
     step,
 )
 from .policies import (
     POLICY_NAMES,
     block_size,
     dwell_metadata,
+    fcfs_lanes,
     make_policy,
     patrol_end,
     resolve_dwell,
@@ -153,33 +157,13 @@ class AggregateResult:
     idle_ci: float
 
 
-# Arrival-table rows drawn per generator call; PCG64 yields the same stream
-# whether the rows come at once or in chunks.
-_ARRIVAL_CHUNK_ROWS = 1024
-
-
-def _draw_arrivals(model: ModelConfig, seed: int, out: np.ndarray) -> None:
-    """Fill out, a (horizon, N) bool array or view, with the episode's
-    arrival indicators: one default_rng(seed) uniform per (slot, location)
-    in row-major order, drawn in row chunks so no (horizon, N) float block
-    is held."""
-    rng = np.random.default_rng(seed)
-    probs = np.asarray(model.arrival_probs)
-    for t0 in range(0, len(out), _ARRIVAL_CHUNK_ROWS):
-        chunk = out[t0:t0 + _ARRIVAL_CHUNK_ROWS]
-        np.less(rng.random(chunk.shape), probs, out=chunk)
-
-
 def _pregen_arrivals(
     model: ModelConfig, horizon: int, seed: int
 ) -> list[list[int]]:
-    """Draw the whole episode's arrival indicators at once, as 0/1 rows.
-
-    The uniforms come in the order per-slot sample_arrivals calls on the
-    same generator would consume them.
-    """
-    table = np.empty((horizon, model.num_locations), dtype=bool)
-    _draw_arrivals(model, seed, table)
+    """The episode's arrival indicators as 0/1 rows: arrival_table's one
+    lane, whose uniforms come in the order per-slot sample_arrivals calls
+    on the same generator would consume them."""
+    table = arrival_table([seed], model.arrival_probs, horizon)[:, 0]
     return table.view(np.int8).tolist()
 
 
@@ -202,6 +186,18 @@ def _metrics(
         switch_frac=switched / robot_slots,
         idle_frac=(robot_slots - served - switched) / robot_slots,
     )
+
+
+def _lane_metrics(
+    group: Sequence[tuple[ExperimentConfig, int]],
+    discounted, queued, served, switched,
+) -> list[EpisodeMetrics]:
+    """_metrics of every lane of a group, from (R,) arrays of its sums."""
+    sums = (discounted, queued, served, switched)
+    return [
+        _metrics(config, *lane)
+        for (config, _), *lane in zip(group, *(a.tolist() for a in sums))
+    ]
 
 
 def run_episode(
@@ -255,94 +251,35 @@ def run_episode(
 LOCKSTEP_MIN_LANES = 10
 
 
-def _esl_lockstep(lanes: LockstepLanes, local: np.ndarray):
-    """esl_decide in every lane."""
-    return serve_then_seek_lanes(
-        lanes.robots, lanes.queues, longest_first=True
-    )
-
-
-def _fcfs_lockstep(table: np.ndarray, num_robots: int):
-    """fcfs_decide in every lane.  Service is FIFO and queues start empty,
-    so the oldest waiting task at a location is its next unserved arrival:
-    one cursor per location into that location's arrival slots stands in
-    for FcfsPolicy's per-location deques of waiting tasks."""
-    horizon, num_lanes, n = table.shape
+def _fcfs_book(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fcfs's FIFO book over a (horizon, R, N) arrival table, in place of
+    FcfsPolicy's deques.  Queues start empty and service is FIFO, so the
+    oldest task waiting at a location is its next unserved arrival: stamps
+    holds the arrival slots by lane, then location, then time, and
+    cursor[k, i] indexes location i's next unserved one in lane k."""
+    num_lanes, n = table.shape[1:]
     counts = table.sum(axis=0).reshape(-1)
-    cursor = np.zeros(num_lanes * n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=cursor[1:])
-    cursor = cursor.reshape(num_lanes, n)
-    # arrival slots by lane, then location, then time; one sentinel slot
-    # keeps the cursor of an exhausted last location in bounds
+    cursor = (np.cumsum(counts) - counts).reshape(num_lanes, n)
+    # one sentinel slot keeps the cursor of an exhausted last location in
+    # bounds
     stamps = np.zeros(int(counts.sum()) + 1, dtype=np.int32)
     for k in range(num_lanes):
         lo = cursor[k, 0]
         slots = np.nonzero(table[:, k, :].T)[1]
         stamps[lo:lo + len(slots)] = slots
-    robot_ids = np.arange(num_robots)
-    robot_base = np.arange(num_lanes) * num_robots
-    tiebreak = np.arange(n)
-    # rank key (arrival slot, not hosted, index) packed into one integer
-    width = np.int64(2 * n)
-    empty_key = np.iinfo(np.int64).max
-
-    def decide(lanes: LockstepLanes, local: np.ndarray):
-        queues, robots, pos = lanes.queues, lanes.robots, lanes.pos
-        nonempty = queues > 0
-        waiting = nonempty.sum(axis=1)
-        host = np.full(queues.shape, -1)
-        host.reshape(-1)[pos] = robot_ids
-        key = stamps.take(cursor) * width + (host < 0) * n + tiebreak
-        order = np.argsort(
-            np.where(nonempty, key, empty_key), axis=1, kind="stable"
-        )
-        # walk the ranking: each of the first min(M, waiting) locations
-        # takes its host if still free, else the lowest free robot
-        assigned = np.zeros(robots.size, dtype=bool)
-        end = robots.copy()
-        flat_end = end.reshape(-1)
-        for k in range(num_robots):
-            active = waiting > k
-            if not active.any():
-                break
-            loc = order[:, k]
-            h = host.reshape(-1).take(lanes.base[:, 0] + loc)
-            own = (h >= 0) & ~assigned.take(robot_base + h)
-            spare = robot_base + np.argmin(
-                assigned.reshape(-1, num_robots), axis=1
-            )
-            switch = active & ~own
-            flat_end[spare[switch]] = loc[switch]
-            assigned[np.where(own, robot_base + h, spare)[active]] = True
-        # a switcher never targets its own location, so the robots that
-        # stay put are the hosts kept in place and the unmatched ones
-        serve = (end == robots) & (local > 0)
-        cursor.reshape(-1)[pos[serve]] += 1
-        return serve, end
-
-    return decide
+    return stamps, cursor
 
 
-def _lockstep_arrivals(
-    group: Sequence[tuple[ExperimentConfig, int]], horizon: int, n: int
+def _group_arrivals(
+    group: Sequence[tuple[ExperimentConfig, int]],
 ) -> np.ndarray:
-    """(horizon, R, N) bool arrival table; lane k holds the indicators
-    _draw_arrivals gives its (config, seed), exactly as run_episode draws
-    them.  Lanes that share a seed share its generator: each chunk of
-    uniforms is drawn once and compared with every such lane's probs."""
-    table = np.empty((horizon, len(group), n), dtype=bool)
-    lanes_of: dict[int, list[int]] = {}
-    for k, (_, seed) in enumerate(group):
-        lanes_of.setdefault(seed, []).append(k)
-    probs = [np.asarray(config.model.arrival_probs) for config, _ in group]
-    for seed, lanes in lanes_of.items():
-        rng = np.random.default_rng(seed)
-        for t0 in range(0, horizon, _ARRIVAL_CHUNK_ROWS):
-            chunk = table[t0:t0 + _ARRIVAL_CHUNK_ROWS]
-            uniforms = rng.random((len(chunk), n))
-            for k in lanes:
-                np.less(uniforms, probs[k], out=chunk[:, k])
-    return table
+    """(horizon, R, N) arrival table of a lane group, each lane's as
+    run_episode draws it."""
+    return arrival_table(
+        [seed for _, seed in group],
+        [config.model.arrival_probs for config, _ in group],
+        group[0][0].horizon,
+    )
 
 
 def _lane_group_key(config: ExperimentConfig) -> tuple:
@@ -377,9 +314,12 @@ def run_lockstep(
     """run_episode(config, seed) for every (config, seed) lane at once.
 
     The lanes must agree on N, M, discount, horizon and policy, esl or
-    fcfs.  All lanes advance one slot per step as integer arrays, each
-    decision rule is vectorised across lanes, LockstepLanes.step
-    checks feasibility every slot, and the metrics are accumulated with the
+    fcfs.  All lanes advance one slot per step as integer arrays, and the
+    rules are the array forms in policies: serve_then_seek_lanes for esl
+    and fcfs_lanes for fcfs, fed each location's oldest arrival slot from
+    the FIFO book (_fcfs_book), whose cursor advances wherever a robot
+    serves.  LockstepLanes.step checks feasibility every slot, and the
+    metrics are accumulated with the
     same float operations in the same order as run_episode's slot loop and
     built by the same _metrics, so each lane's EpisodeMetrics equals
     run_episode's exactly.
@@ -389,13 +329,12 @@ def run_lockstep(
     first = _shared_config(group)
     if first.policy == "cyclic":
         raise ValueError("cyclic lanes run through run_cyclic_scan")
-    n, m = first.model.num_locations, first.model.num_robots
+    m = first.model.num_robots
     horizon, beta = first.horizon, first.model.discount
-    table = _lockstep_arrivals(group, horizon, n)
-    if first.policy == "esl":
-        decide = _esl_lockstep
-    else:
-        decide = _fcfs_lockstep(table, m)
+    table = _group_arrivals(group)
+    fcfs = first.policy == "fcfs"
+    if fcfs:
+        stamps, cursor = _fcfs_book(table)
     lanes = LockstepLanes(len(group), initial_state(first.model))
     discounted = np.zeros(len(group))
     weight = 1.0
@@ -407,20 +346,22 @@ def run_lockstep(
         discounted += weight * total
         weight *= beta
         queue_total_sum += total
-        serve, end = decide(lanes, lanes.local())
+        if fcfs:
+            serve, end = fcfs_lanes(
+                lanes.robots, lanes.queues, stamps.take(cursor)
+            )
+            cursor.reshape(-1)[lanes.pos[serve]] += 1
+        else:
+            serve, end = serve_then_seek_lanes(
+                lanes.robots, lanes.queues, longest_first=True
+            )
         serve_ct += serve
         switch_ct += end != lanes.robots
         lanes.step(serve, end, table[t])
-    return [
-        _metrics(config, cost, queued, served, switched)
-        for (config, _), cost, queued, served, switched in zip(
-            group,
-            discounted.tolist(),
-            queue_total_sum.tolist(),
-            serve_ct.sum(axis=1).tolist(),
-            switch_ct.sum(axis=1).tolist(),
-        )
-    ]
+    return _lane_metrics(
+        group, discounted, queue_total_sum,
+        serve_ct.sum(axis=1), switch_ct.sum(axis=1),
+    )
 
 
 # The cyclic scan runs its lanes in time chunks of about
@@ -468,18 +409,17 @@ class _CyclicScan:
         horizon, n = first.horizon, first.model.num_locations
         self.num_robots = first.model.num_robots
         self.beta = first.model.discount
-        policies = [
-            make_policy(c.policy, c.model, **c.policy_params)
-            for c, _ in group
-        ]
+        # the legs depend on N, M and the start state, which lanes share
+        patrol = make_policy("cyclic", first.model, **first.policy_params)
         start = initial_state(first.model)
-        policies[0].reset(start)
+        patrol.reset(start)
         # every slot index, location, queue length and dwell period fits
         self.dtype = dtype = np.min_scalar_type(-max(horizon, n) - 2)
-        self.legs = np.array(policies[0].legs, dtype).T
+        self.legs = np.array(patrol.legs, dtype).T
         # a dwell longer than the horizon never ends within it
         self.dwell = np.array(
-            [[min(policy.t_dwell, horizon)] for policy in policies], dtype
+            [[min(c.policy_params["t_dwell"], horizon)] for c, _ in group],
+            dtype,
         )
         num_lanes = len(group)
         self.locations = np.arange(n, dtype=dtype)
@@ -497,13 +437,7 @@ class _CyclicScan:
         size = len(arrivals)
         slots = np.arange(t0, t0 + size, dtype=self.dtype)[:, None, None]
         end = patrol_end(slots, *self.legs, self.dwell)
-        # mark every end: an end off the map marks nothing and two robots
-        # on one location mark it once, so a feasible schedule, and only
-        # a feasible one, makes m marks per lane and slot
-        serve = np.zeros(arrivals.shape, dtype=bool)
-        for r in range(m):
-            serve |= end[..., r, None] == locations
-        if np.count_nonzero(serve) != end.size:
+        if not lane_collision_free(end.reshape(-1, m), len(locations)).all():
             raise InfeasibleActionError("infeasible cyclic schedule")
         stay = np.empty(end.shape, dtype=bool)
         np.equal(end[0], self.ends, out=stay[0])
@@ -512,7 +446,7 @@ class _CyclicScan:
         self.switched += m * size - np.count_nonzero(stay, axis=(0, 2))
         # a robot serves where it starts and ends the slot, if tasks wait
         end[~stay] = -1
-        serve[...] = False
+        serve = np.zeros(arrivals.shape, dtype=bool)
         for r in range(m):
             serve |= end[..., r, None] == locations
         start_q, self.queues = _lindley(self.queues, serve, arrivals)
@@ -541,8 +475,9 @@ def run_cyclic_scan(
     dwell may differ.  The patrol never reads the queues, so patrol_end
     gives every robot's end location at every slot, and a location is
     served in slot t when a robot both starts and ends the slot there.
-    Each chunk checks that schedule (every end on the map, distinct ends
-    in every slot of every lane; InfeasibleActionError otherwise), then
+    Each chunk checks that schedule with model.lane_collision_free (every
+    end on the map, distinct ends in every slot of every lane;
+    InfeasibleActionError otherwise), then
     runs each queue's Lindley recursion (_lindley).  The discount weights
     and the discounted sums accumulate in slot order with run_episode's
     float operations, so each lane's EpisodeMetrics equals run_episode's
@@ -555,7 +490,7 @@ def run_cyclic_scan(
     if first.policy != "cyclic":
         raise ValueError("the scan runs cyclic lanes only")
     n, horizon = first.model.num_locations, first.horizon
-    table = _lockstep_arrivals(group, horizon, n)
+    table = _group_arrivals(group)
     scan = _CyclicScan(group)
     rows = max(_SCAN_MIN_ROWS, _SCAN_CHUNK_ENTRIES // (len(group) * n))
     for t0 in range(0, horizon, rows):
@@ -564,16 +499,10 @@ def run_cyclic_scan(
     arrived = table.sum(axis=0)
     if (queues < 0).any() or (queues != arrived - scan.departed).any():
         raise RuntimeError("queue conservation broken inside the cyclic scan")
-    return [
-        _metrics(config, cost, queued, served, switched)
-        for (config, _), cost, queued, served, switched in zip(
-            group,
-            scan.discounted.tolist(),
-            scan.queued.tolist(),
-            scan.departed.sum(axis=1).tolist(),
-            scan.switched.tolist(),
-        )
-    ]
+    return _lane_metrics(
+        group, scan.discounted, scan.queued,
+        scan.departed.sum(axis=1), scan.switched,
+    )
 
 
 def run_lanes(

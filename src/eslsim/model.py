@@ -9,7 +9,9 @@ t+1 at the earliest (late arrivals).  Robots may never share a location, and
 joint actions must keep that true one slot ahead.
 
 LockstepLanes is step's array form: many runs of one instance advanced
-together, with the same feasibility checks.
+together, with the same feasibility checks (lane_feasible; the cyclic
+scan checks its schedule with its collision half, lane_collision_free).
+arrival_table draws the arrivals of every engine, one lane or many.
 """
 
 from __future__ import annotations
@@ -210,16 +212,40 @@ def step(
     return next_state, SlotDelta(tuple(departures), tuple(arrivals))
 
 
-def lane_feasible(
-    robots, local, serve, end, num_locations: int
-) -> np.ndarray:
-    """is_feasible in every lane: robots, local (the queue where each robot
-    stands), serve and end are (R, M) arrays, serve[k, r] saying robot r of
-    lane k serves and end[k, r] where it ends the slot.  Returns an (R,)
-    bool array, False where a robot serves an empty queue or serves while
-    moving, an end is off the map, or two robots end on one location."""
-    good = ~(serve & ((local <= 0) | (end != robots)))
-    good &= (end >= 0) & (end < num_locations)
+# Arrival-table rows drawn per generator call; PCG64 yields the same stream
+# whether the rows come at once or in chunks.
+_ARRIVAL_CHUNK_ROWS = 1024
+
+
+def arrival_table(seeds, probs, stop: int, start: int = 0) -> np.ndarray:
+    """(stop - start, R, N) bool arrival indicators of slots start..stop-1:
+    lane k compares default_rng(seeds[k])'s uniforms, one random(N) row
+    per slot as sample_arrivals draws them, with probs, an (N,) vector or
+    one row per lane.  Each distinct seed's generator is built once,
+    advanced past the start * N uniforms before slot start, and drawn in
+    row chunks that serve every lane with that seed."""
+    probs = np.broadcast_to(probs, (len(seeds), np.shape(probs)[-1]))
+    n = probs.shape[1]
+    table = np.empty((stop - start, len(seeds), n), dtype=bool)
+    lanes_of: dict[int, list[int]] = {}
+    for k, seed in enumerate(seeds):
+        lanes_of.setdefault(seed, []).append(k)
+    for seed, lanes in lanes_of.items():
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(start * n)
+        for t0 in range(0, len(table), _ARRIVAL_CHUNK_ROWS):
+            chunk = table[t0:t0 + _ARRIVAL_CHUNK_ROWS]
+            uniforms = rng.random((len(chunk), n))
+            for k in lanes:
+                np.less(uniforms, probs[k], out=chunk[:, k])
+    return table
+
+
+def lane_collision_free(end, num_locations: int) -> np.ndarray:
+    """The collision rule in every lane: end is an (R, M) array, end[k, r]
+    where robot r of lane k ends the slot.  Returns an (R,) bool array,
+    False where an end is off the map or two robots end on one location."""
+    good = (end >= 0) & (end < num_locations)
     # column by column: numpy reduces a short last axis slowly
     ok = good[:, 0].copy()
     for r in range(1, end.shape[1]):
@@ -227,6 +253,19 @@ def lane_feasible(
         for other in range(r):
             ok &= end[:, r] != end[:, other]
     return ok
+
+
+def lane_feasible(
+    robots, local, serve, end, num_locations: int
+) -> np.ndarray:
+    """is_feasible in every lane: robots, local (the queue where each robot
+    stands), serve and end are (R, M) arrays, serve[k, r] saying robot r of
+    lane k serves and end[k, r] where it ends the slot.  Returns an (R,)
+    bool array, False where a robot serves an empty queue or serves while
+    moving, or where lane_collision_free fails."""
+    good = ~(serve & ((local <= 0) | (end != robots)))
+    # a robot that serves where it may not fails as an end off the map
+    return lane_collision_free(np.where(good, end, -1), num_locations)
 
 
 class LockstepLanes:

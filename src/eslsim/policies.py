@@ -7,8 +7,9 @@ reads the waiting tasks' arrival slots from its arguments, and cyclic_decide
 the slot index, since a patrolling robot's location depends on the slot
 alone.  FcfsPolicy holds the waiting tasks for one episode and CyclicPolicy
 each robot's patrol leg; reset sets them from the start state.
-serve_then_seek_lanes is serve_then_seek over arrays of lanes: the
-lockstep engine's esl rule and the rule the exact solver's audit checks.
+serve_then_seek_lanes and fcfs_lanes are serve_then_seek and fcfs_decide
+over arrays of lanes: the lockstep engine's esl and fcfs rules, the first
+also the rule the exact solver's audit checks.
 """
 
 from __future__ import annotations
@@ -169,6 +170,50 @@ def fcfs_decide(
                 SERVE_ACTION if queues[robots[r]] > 0 else IDLE_ACTION
             )
     return tuple(actions)
+
+
+def fcfs_lanes(
+    robots: np.ndarray, queues: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """fcfs_decide in every lane: robots is an (R, M) and queues an (R, N)
+    integer array, each row one lane's state, and heads[k, i] the arrival
+    slot of the oldest task waiting at location i of lane k (read only
+    where one waits).  Returns the (R, M) served flags and end locations.
+    """
+    n = queues.shape[1]
+    num_robots = robots.shape[1]
+    # flat offsets, since flat takes cost less here than 2-d indexing
+    base = np.arange(0, queues.size, n)
+    pos = base[:, None] + robots
+    robot_base = np.arange(0, robots.size, num_robots)
+    nonempty = queues > 0
+    waiting = nonempty.sum(axis=1)
+    host = np.full(queues.shape, -1)
+    host.reshape(-1)[pos] = np.arange(num_robots)
+    # rank key (head, not hosted, index) packed into one integer
+    key = heads * np.int64(2 * n) + (host < 0) * n + np.arange(n)
+    order = np.argsort(np.where(nonempty, key, _LAST), axis=1, kind="stable")
+    assigned = np.zeros(robots.size, dtype=bool)
+    end = robots.copy()
+    # walk the ranking: each of the first min(M, waiting) locations takes
+    # its host if still unmatched, else the lowest unmatched robot
+    for k in range(num_robots):
+        active = waiting > k
+        if not active.any():
+            break
+        loc = order[:, k]
+        h = host.reshape(-1).take(base + loc)
+        own = (h >= 0) & ~assigned.take(robot_base + h)
+        r = robot_base + np.where(
+            own, h, assigned.reshape(end.shape).argmin(axis=1)
+        )
+        switch = active & ~own
+        end.reshape(-1)[r[switch]] = loc[switch]
+        assigned[r[active]] = True
+    # a switcher never targets its own location, so the robots that stay
+    # put are the hosts kept in place and the unmatched ones
+    serve = (end == robots) & (queues.reshape(-1).take(pos) > 0)
+    return serve, end
 
 
 def patrol_blocks(

@@ -643,3 +643,7 @@ def test_dwell_rejects_degenerate_inputs(capsys):
     assert main(["dwell", "--p", "1.0", "--n", "3"]) == 2
     assert "degenerate rate" in capsys.readouterr().err
     assert main(["dwell", "--p", "0.5", "--n", "0"]) == 2
+    assert main(["dwell", "--p", "0.5", "--n", "3", "--max", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "dwell: search_max must be at least 1" in err

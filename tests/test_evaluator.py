@@ -27,7 +27,7 @@ from eslsim import (
 )
 from eslsim import evaluator
 from eslsim.evaluator import _pregen_arrivals
-from eslsim.model import lane_feasible
+from eslsim.model import arrival_table, lane_feasible
 
 
 def config_for(policy, *, n=3, m=1, p=0.2, beta=0.95, horizon=200,
@@ -331,7 +331,7 @@ def shrink_scan_chunks(monkeypatch, rows):
 @pytest.mark.parametrize("policy", ["esl", "fcfs", "cyclic"])
 def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
     # small arrival and scan chunks, so lanes cross several chunk boundaries
-    monkeypatch.setattr(evaluator, "_ARRIVAL_CHUNK_ROWS", 7)
+    monkeypatch.setattr("eslsim.model._ARRIVAL_CHUNK_ROWS", 7)
     shrink_scan_chunks(monkeypatch, 11)
     lanes = [
         (cell, seed)
@@ -348,8 +348,8 @@ def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
 
 def test_lanes_sharing_a_seed_draw_it_once(monkeypatch):
     """Each seed's generator serves every lane with that seed, whatever
-    its p, and each lane's table is still its own _draw_arrivals."""
-    monkeypatch.setattr(evaluator, "_ARRIVAL_CHUNK_ROWS", 7)
+    its p, and each lane's table is still its own seed's draw."""
+    monkeypatch.setattr("eslsim.model._ARRIVAL_CHUNK_ROWS", 7)
     lanes = [
         (cell, seed)
         for cell in lockstep_cells("esl", 6, 3, horizon=30)
@@ -363,12 +363,15 @@ def test_lanes_sharing_a_seed_draw_it_once(monkeypatch):
         return real_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    table = evaluator._lockstep_arrivals(lanes, 30, 6)
+    table = arrival_table(
+        [seed for _, seed in lanes],
+        [cell.model.arrival_probs for cell, _ in lanes],
+        30,
+    )
     assert built == [5, 3, 9, 4]
     monkeypatch.setattr(np.random, "default_rng", real_rng)
     for k, (cell, seed) in enumerate(lanes):
-        want = np.empty((30, 6), dtype=bool)
-        evaluator._draw_arrivals(cell.model, seed, want)
+        want = real_rng(seed).random((30, 6)) < cell.model.arrival_probs
         assert (table[:, k] == want).all()
 
 
@@ -594,18 +597,18 @@ def test_lane_feasible_passes_feasible_lanes():
 
 def test_lockstep_checks_every_slot(monkeypatch):
     """A decision that goes wrong in one lane at one late slot is caught."""
-    real = evaluator._esl_lockstep
+    real = evaluator.serve_then_seek_lanes
     calls = []
 
-    def faulty(lanes, local):
-        serve, end = real(lanes, local)
+    def faulty(robots, queues, *, longest_first):
+        serve, end = real(robots, queues, longest_first=longest_first)
         calls.append(None)
         if len(calls) == 37:
             end = end.copy()
             end[5, 1] = end[5, 0]
         return serve, end
 
-    monkeypatch.setattr(evaluator, "_esl_lockstep", faulty)
+    monkeypatch.setattr(evaluator, "serve_then_seek_lanes", faulty)
     cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
     with pytest.raises(InfeasibleActionError):
         evaluator.run_lockstep([(cfg, seed) for seed in range(12)])

@@ -25,6 +25,7 @@ from eslsim import (
     switch_to,
     validate_state,
 )
+from eslsim.model import arrival_table
 
 
 def test_admissible_menu_with_local_work():
@@ -123,6 +124,27 @@ def test_arrival_frequency_matches_rate():
     for _ in range(200_000):
         hits += sum(sample_arrivals((0.5,) * 5, rng))
     assert abs(hits / 1_000_000 - 0.5) < 0.002
+
+
+@pytest.mark.parametrize("seeds", [[4, 4, 4], [4, 9, 2], [9, 4, 9]])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_arrival_table_from_a_later_start_is_its_tail(monkeypatch, seeds, n):
+    """arrival_table(..., start=s) is rows s: of the table drawn from slot
+    0, for starts before, at and after chunk boundaries, whether lanes
+    share a seed or not; the table from 0 is each seed's plain draw."""
+    monkeypatch.setattr("eslsim.model._ARRIVAL_CHUNK_ROWS", 5)
+    probs = np.linspace(0.2, 0.7, len(seeds) * n).reshape(len(seeds), n)
+    whole = arrival_table(seeds, probs, 23)
+    for k, seed in enumerate(seeds):
+        want = np.random.default_rng(seed).random((23, n)) < probs[k]
+        assert (whole[:, k] == want).all()
+    for start in (1, 4, 5, 6, 10, 17, 22, 23):
+        tail = arrival_table(seeds, probs, 23, start=start)
+        assert tail.shape == (23 - start, len(seeds), n)
+        assert (tail == whole[start:]).all()
+    # one probs vector serves every lane
+    assert (arrival_table(seeds, probs[0], 23, start=6)
+            == arrival_table(seeds, [probs[0]] * len(seeds), 23)[6:]).all()
 
 
 def test_step_serve_with_arrival_elsewhere():

@@ -39,6 +39,7 @@ from eslsim import (
 )
 from eslsim.policies import (
     block_size,
+    fcfs_lanes,
     patrol_end,
     serve_then_seek,
     serve_then_seek_lanes,
@@ -102,10 +103,19 @@ def test_shortest_variant_is_feasible_and_targets_shortest(state):
     assert sorted(queues[j] for j in targets) == free[: len(targets)]
 
 
+def assert_lane_is_joint(serve, end, state, joint):
+    """One lane's served flags and ends say what joint does in state:
+    serve where it serves, end at its switch target or the robot's own
+    location."""
+    assert serve.tolist() == [act == SERVE_ACTION for act in joint]
+    assert end.tolist() == [
+        loc if act.dest is None else act.dest
+        for loc, act in zip(state.robots, joint)
+    ]
+
+
 def assert_lanes_match_scalar(robots, queues, longest_first):
-    """serve_then_seek_lanes agrees with serve_then_seek in every lane:
-    the same served flags, and each robot's end its switch target or its
-    own location."""
+    """serve_then_seek_lanes agrees with serve_then_seek in every lane."""
     robots, queues = np.array(robots), np.array(queues)
     serve, end = serve_then_seek_lanes(
         robots, queues, longest_first=longest_first
@@ -116,11 +126,7 @@ def assert_lanes_match_scalar(robots, queues, longest_first):
             tuple(robots[k].tolist()), tuple(queues[k].tolist())
         )
         joint = serve_then_seek(state, longest_first=longest_first)
-        assert serve[k].tolist() == [act == SERVE_ACTION for act in joint]
-        assert end[k].tolist() == [
-            loc if act.dest is None else act.dest
-            for loc, act in zip(state.robots, joint)
-        ]
+        assert_lane_is_joint(serve[k], end[k], state, joint)
 
 
 @st.composite
@@ -224,6 +230,50 @@ def test_fcfs_decisions_feasible(data):
     ]
     joint = fcfs_decide(state, book_with(stamps))
     assert is_feasible(state, joint)
+
+
+@st.composite
+def fcfs_lane_batches(draw):
+    """Lanes of one (N, M) instance, each with a consistent age book: up
+    to three sorted arrival slots per location from a short range, so
+    equal oldest slots at several locations are common."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    lanes = draw(st.lists(
+        st.tuples(
+            st.permutations(range(n)),
+            st.lists(
+                st.lists(st.integers(0, 4), max_size=3),
+                min_size=n,
+                max_size=n,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    return (
+        [p[:m] for p, _ in lanes],
+        [[sorted(stamps) for stamps in book] for _, book in lanes],
+    )
+
+
+@given(fcfs_lane_batches())
+@settings(max_examples=300, deadline=None)
+def test_fcfs_array_rule_matches_scalar_rule(batch):
+    """fcfs_lanes, given each book's first slot per location as heads,
+    agrees with fcfs_decide in every lane.  An empty location's head is
+    -1, which would rank first if the rule read it."""
+    robots, books = batch
+    queues = [[len(stamps) for stamps in book] for book in books]
+    heads = [[stamps[0] if stamps else -1 for stamps in book]
+             for book in books]
+    serve, end = fcfs_lanes(np.array(robots), np.array(queues),
+                            np.array(heads))
+    assert serve.shape == end.shape == np.shape(robots)
+    for k, book in enumerate(books):
+        state = SystemState(tuple(robots[k]), tuple(queues[k]))
+        joint = fcfs_decide(state, book_with(book))
+        assert_lane_is_joint(serve[k], end[k], state, joint)
 
 
 def test_age_book_tracks_service_and_arrivals():

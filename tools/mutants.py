@@ -1,6 +1,7 @@
 """Mutation check: break the exact solver, the coupling harness, the
-array serve-then-seek rule, the lockstep episode engine and the cyclic
-patrol and its scan on purpose and show that the tests notice.
+shared arrival table, the array serve-then-seek and fcfs rules, the lane
+feasibility check and the cyclic patrol and its scan on purpose and show
+that the tests notice.
 
 Each mutant is one textual edit to a file under src/.  For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
@@ -118,10 +119,11 @@ MUTANTS = [
         "pi_cols = np.arange(n)",
     ),
     (
-        "coupling lanes: a lane past its first block re-reads its first rows",
-        "src/eslsim/coupling.py",
-        ".random((stop, len(probs)))[start:]",
-        ".random((stop, len(probs)))[:stop - start]",
+        "arrival table: a lane drawn from a later slot re-reads its first "
+        "rows",
+        "src/eslsim/model.py",
+        "rng.bit_generator.advance(start * n)",
+        "rng.bit_generator.advance(0)",
     ),
     (
         "coupling lanes: a narrower scenario reads the shared first block "
@@ -155,10 +157,10 @@ MUTANTS = [
         "for t in ():",
     ),
     (
-        "lockstep fcfs: ties no longer prefer a hosted location",
-        "src/eslsim/evaluator.py",
-        "key = stamps.take(cursor) * width + (host < 0) * n + tiebreak",
-        "key = stamps.take(cursor) * width + tiebreak",
+        "array fcfs rule: ties no longer prefer a hosted location",
+        "src/eslsim/policies.py",
+        "key = heads * np.int64(2 * n) + (host < 0) * n + np.arange(n)",
+        "key = heads * np.int64(2 * n) + np.arange(n)",
     ),
     (
         "array rule: seekers take free queues in index order",
@@ -173,8 +175,8 @@ MUTANTS = [
         "rank = np.cumsum(seek, axis=1)",
     ),
     (
-        "lockstep fcfs: the walk stops one rank short",
-        "src/eslsim/evaluator.py",
+        "array fcfs rule: the walk stops one rank short",
+        "src/eslsim/policies.py",
         "for k in range(num_robots):",
         "for k in range(num_robots - 1):",
     ),
@@ -215,9 +217,10 @@ MUTANTS = [
         "end[~stay] = end[~stay]",
     ),
     (
-        "scan: the schedule feasibility check never fires",
+        "scan: the schedule collision check never fires",
         "src/eslsim/evaluator.py",
-        "if np.count_nonzero(serve) != end.size:",
+        "if not lane_collision_free(end.reshape(-1, m), "
+        "len(locations)).all():",
         "if False:",
     ),
     (
