@@ -45,10 +45,11 @@ for name in SCENARIO_NAMES:
     assert check_gap_pattern(report) == []
 
 # The per-path form is not a fluke of one seed.  Sweep many streams and
-# check each one; the deviation never pays.  coupled_runs gives the same
-# reports as coupled_run seed by seed, but advances all seeds together and
-# draws each seed's stream once for all four scenarios; it tags each
-# report with its scenario's index.
+# check each one; the deviation never pays.  coupled_run above is
+# coupled_runs on one scenario and one seed; given all four scenarios and
+# every seed at once, coupled_runs advances the seeds together, draws each
+# seed's stream once for all four scenarios, and tags each report with its
+# scenario's index.
 print("\nsweeping 200 seeds per scenario:")
 diffs = {name: [] for name in SCENARIO_NAMES}
 scenarios = [make_scenario(name) for name in SCENARIO_NAMES]

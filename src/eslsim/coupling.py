@@ -29,18 +29,21 @@ serve their own location when it is nonempty and idle otherwise, behave
 identically in both systems, and must sit away from the locations the
 scenario manipulates.
 
-There are two engines with equal reports.  coupled_run is the readable
-paired slot loop, one scenario and one seed at a time, and the reference
-the other is tested against.  coupled_runs, which verify runs, takes a
-list of scenarios and advances the seeds together as lanes, one chunk of
-seeds at a time: integer arrays stepped by LockstepLanes, which checks
-every lane's moves each slot as step does.  All scenarios read the same
-seeds, so each seed's generator is built once per chunk and its first
-block of uniforms is shared by every scenario; lanes that outlive that
-block draw on with model.arrival_table, the draw every lane engine shares.
+Seed s's arrivals at slot t are row t of default_rng(s).random((horizon,
+N)), each uniform compared with its location's probability: the draw
+model.sample_arrivals makes one slot at a time.  coupled_runs, the one
+engine, takes a list of scenarios and advances the seeds together as
+lanes, one chunk of seeds at a time: integer arrays stepped by
+LockstepLanes, which checks every lane's moves each slot as step does.
+All scenarios read the same seeds, so each seed's generator is built once
+per chunk and its first block of uniforms is shared by every scenario;
+lanes that outlive that block draw on with model.arrival_table, the draw
+every lane engine shares.  coupled_run is its one-scenario, one-seed call.
 Everything particular to a scenario (its default instance, precondition,
-scripted moves and meeting test in scalar and lane form, and predicted gap
-shape) sits in one _Script subclass, looked up by code in _SCRIPTS.
+scripted moves and meeting test, and predicted gap shape) sits in one
+_Script subclass, looked up by code in _SCRIPTS.  tests/scalar_coupling.py
+keeps the paired slot loop over SystemState tuples and model.step as the
+oracle the lanes are tested against.
 """
 
 from __future__ import annotations
@@ -52,16 +55,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .model import (
-    IDLE_ACTION,
-    SERVE_ACTION,
     LockstepLanes,
     ModelConfig,
-    RobotAction,
     SystemState,
     arrival_table,
-    sample_arrivals,
-    step,
-    switch_to,
+    sample_arrivals,  # noqa: F401  bound here for perfbench/tracer.py
+    step,  # noqa: F401  bound here for perfbench/tracer.py
     validate_state,
 )
 
@@ -109,26 +108,14 @@ class CouplingReport:
     discounted_diff: float
 
 
-def _swap01(vec: tuple[int, ...]) -> tuple[int, ...]:
-    return (vec[1], vec[0]) + vec[2:]
-
-
-_SWAP_LOC = {0: 1, 1: 0}
-
-
 def _swap01_index(n: int) -> np.ndarray:
     """Locations 0..n-1 with 0 and 1 exchanged, as an index array."""
     return np.array([1, 0, *range(2, n)])
 
 
-def _serve_or_idle(state: SystemState) -> RobotAction:
-    return (
-        SERVE_ACTION if state.queues[state.robots[0]] > 0 else IDLE_ACTION
-    )
-
-
 def _serve_or_idle_lanes(lanes: LockstepLanes):
-    """_serve_or_idle in every lane, as robot 0's (serve, end) arrays."""
+    """Robot 0 serves if its queue is nonempty and stays put: in every
+    lane, as (serve, end) arrays."""
     return lanes.local()[:, 0] > 0, lanes.robots[:, 0]
 
 
@@ -153,23 +140,22 @@ class _Script:
 
     default is the canonical instance (locations, robot positions, queues),
     and swap says PI reads the draw with streams 0 and 1 swapped.  holds is
-    the precondition on a state validate_state accepts.  moves gives robot
-    0's moves in G and PI at slot t (at slot 0 both sides are the start
-    state); met says whether the pair has met after slot t, and raises
-    RuntimeError where the scenario's argument says it must have.  shape
-    yields the ways a coupled report's gap departs from the predicted form.
+    the precondition on a state validate_state accepts.  shape yields the
+    ways a coupled report's gap departs from the predicted form.
 
-    lane_moves and lane_met are the same rules over LockstepLanes g and pi,
-    one lane per seed: moves as robot 0's (serve, end) arrays for each
-    side, met as a bool per lane.  A lane instance keeps its landmarks as
-    per-lane arrays (tau -1 until set) named in lane_fields, which keep
-    filters when met lanes drop out.
+    lane_moves and lane_met run the scenario over LockstepLanes g and pi,
+    one lane per seed.  lane_moves gives robot 0's moves in G and PI at
+    slot t (at slot 0 both sides are the start state), as (serve, end)
+    arrays for each side.  lane_met says, as a bool per lane, whether the
+    pair has met after slot t, and raises RuntimeError where the
+    scenario's argument says it must have.  An instance keeps its
+    landmarks as per-lane arrays (tau -1 until set) named in lane_fields,
+    which keep filters when met lanes drop out.
     """
 
     default: tuple[int, tuple[int, ...], tuple[int, ...]]
     swap = False
-    tau: int | None = None
-    k: int | None = None
+    k: np.ndarray | None = None
     lane_fields: tuple[str, ...] = ("tau",)
 
     def keep(self, mask: np.ndarray) -> None:
@@ -199,30 +185,6 @@ class _Prop1A(_Script):
         robots, _ = state
         free = model.num_locations - (len(robots) - 1)
         return _Prop1B.holds(model, state) and free >= 2
-
-    def moves(self, t, g, pi):
-        loc, n = g.robots[0], len(g.queues)
-        if t == 0:
-            self.home = loc
-            self.parked = frozenset(g.robots[1:])
-        elif self.tau is None and loc == self.home:
-            self.tau = t
-        if t > 0 and g.queues[loc] > 0:
-            g_act = SERVE_ACTION
-        else:
-            g_act = switch_to(_next_free(loc, n, self.parked))
-        pi_act = SERVE_ACTION if t == 0 else self.last
-        self.last = g_act
-        return g_act, pi_act
-
-    def met(self, t, g, pi):
-        if t != self.tau:
-            return False
-        if g != pi:
-            raise RuntimeError(
-                "paired states failed to meet at the return slot"
-            )
-        return True
 
     def lane_moves(self, t, g, pi):
         loc = g.robots[:, 0]
@@ -280,18 +242,6 @@ class _Prop1B(_Script):
         start = robots[0]
         return queues[start] >= 1 and model.arrival_probs[start] < 1.0
 
-    def moves(self, t, g, pi):
-        return (
-            IDLE_ACTION if t == 0 else _serve_or_idle(g),
-            _serve_or_idle(pi),
-        )
-
-    def met(self, t, g, pi):
-        if g != pi:
-            return False
-        self.tau = t
-        return True
-
     def lane_moves(self, t, g, pi):
         g_serve, g_end = _serve_or_idle_lanes(g)
         return g_serve & (t > 0), g_end, *_serve_or_idle_lanes(pi)
@@ -338,17 +288,6 @@ class _Prop2(_Script):
             and 1 not in robots
             and probs[0] == probs[1] < 1.0
         )
-
-    def moves(self, t, g, pi):
-        if t == 0:
-            return IDLE_ACTION, switch_to(1)
-        return _serve_or_idle(g), _serve_or_idle(pi)
-
-    def met(self, t, g, pi):
-        if g.queues[0] != pi.queues[1]:
-            return False
-        self.tau = t + 1
-        return True
 
     def lane_moves(self, t, g, pi):
         if t == 0:
@@ -402,45 +341,6 @@ class _Prop4(_Script):
             and queues[robots[0]] == 0
             and probs[0] == probs[1] < 1.0
         )
-
-    def moves(self, t, g, pi):
-        if t == 0:
-            self.k = g.queues[1] - g.queues[0]
-            return switch_to(0), switch_to(1)
-        # G side: drain the short queue, cross, then park.
-        if g.robots[0] != 0:
-            g_act = _serve_or_idle(g)
-        elif g.queues[0] > 0:
-            g_act = SERVE_ACTION
-        else:
-            if self.tau is not None:
-                raise RuntimeError(
-                    "short queue emptied twice before the crossing"
-                )
-            self.tau = t
-            g_act = switch_to(1)
-        # PI side: serve the long queue until tau, then exactly k catch-up
-        # serves, then cross.
-        if self.tau is None or t < self.tau + self.k:
-            if pi.queues[1] <= 0:
-                raise RuntimeError("long queue ran dry before the crossing")
-            pi_act = SERVE_ACTION
-        else:
-            pi_act = switch_to(0)
-        return g_act, pi_act
-
-    def met(self, t, g, pi):
-        if self.tau is None or t != self.tau + self.k:
-            return False
-        mirrored = SystemState(
-            tuple(_SWAP_LOC.get(loc, loc) for loc in pi.robots),
-            _swap01(pi.queues),
-        )
-        if mirrored != g:
-            raise RuntimeError(
-                "paired states failed to meet after the crossing"
-            )
-        return True
 
     def lane_moves(self, t, g, pi):
         if t == 0:
@@ -533,45 +433,12 @@ def validate_scenario(scenario: CouplingScenario) -> None:
         raise ScenarioPreconditionError("scenario precondition")
 
 
-def _joint(state: SystemState, lead: RobotAction) -> tuple[RobotAction, ...]:
-    """Robot 0 takes lead; parked robots serve their own queue if nonempty."""
-    robots, queues = state
-    joint = [lead]
-    for loc in robots[1:]:
-        joint.append(SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION)
-    return tuple(joint)
-
-
 def coupled_run(
     scenario: CouplingScenario, horizon: int, seed: int
 ) -> CouplingReport:
-    """Run one paired experiment; see the module docstring for semantics."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least one slot")
-    script = _SCRIPTS[scenario.name]()
-    probs = scenario.model.arrival_probs
-    rng = np.random.default_rng(seed)
-    g = pi = scenario.initial_state
-    g_out = pi_out = 0
-    gap = [0]
-    coupling_time = None
-    for t in range(horizon):
-        g_act, pi_act = script.moves(t, g, pi)
-        arrivals = sample_arrivals(probs, rng)
-        g, delta = step(g, _joint(g, g_act), arrivals)
-        g_out += sum(delta.departures)
-        if script.swap:
-            arrivals = _swap01(arrivals)
-        pi, delta = step(pi, _joint(pi, pi_act), arrivals)
-        pi_out += sum(delta.departures)
-        _record_gap(gap, g, pi, pi_out - g_out)
-        if script.met(t, g, pi):
-            coupling_time = t + 1
-            break
-    return _finish(
-        scenario, seed, horizon, gap, script.tau, script.k, coupling_time,
-        _extend_powers([], scenario.model.discount, len(gap)),
-    )
+    """Run one paired experiment: coupled_runs on one scenario and one
+    seed.  See the module docstring for the semantics."""
+    return next(coupled_runs([scenario], horizon, [seed]))[1]
 
 
 # Seeds run as lanes in chunks of _CHUNK, so memory does not grow with the
@@ -587,9 +454,10 @@ def coupled_runs(
     horizon: int,
     seeds: Iterable[int],
 ) -> Iterator[tuple[int, CouplingReport]]:
-    """(k, coupled_run(scenarios[k], horizon, seed)) for every scenario
-    and seed: chunk by chunk of the seeds, and within a chunk scenario by
-    scenario in list order, so each scenario's reports come in seed order.
+    """(k, report) for the paired run of scenarios[k] on each seed, up to
+    horizon slots: chunk by chunk of the seeds, and within a chunk scenario
+    by scenario in list order, so each scenario's reports come in seed
+    order.
 
     Each seed's generator is built once per chunk for all the scenarios:
     its first block is one row of uniforms from default_rng(seed), as many
@@ -602,7 +470,7 @@ def coupled_runs(
     past the slots it has read, through model.arrival_table.  Every slot
     LockstepLanes.step checks each lane's moves as step does, and the
     conservation identity is asserted per lane.  _finish builds each
-    report, so every report equals coupled_run's to the last bit.
+    report from the lane's gap row and landmarks.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
@@ -640,8 +508,8 @@ def _lane_step(
     end: np.ndarray,
     arrivals: np.ndarray,
 ) -> np.ndarray:
-    """Step every lane with robot 0's (serve, end) and _joint's parked
-    robots; returns each lane's departures."""
+    """Step every lane with robot 0's (serve, end) while each parked robot
+    serves its own queue if nonempty; returns each lane's departures."""
     serves = lanes.local() > 0
     serves[:, 0] = serve
     ends = lanes.robots.copy()
@@ -656,8 +524,9 @@ def _lane_reports(
     seeds: list[int],
     uniforms: np.ndarray,
 ) -> list[CouplingReport]:
-    """coupled_run's report for each seed, the first min(horizon, _BLOCK)
-    slots' arrivals read from uniforms (_first_uniforms)."""
+    """The report of scenario's paired run on each seed, the first
+    min(horizon, _BLOCK) slots' arrivals read from uniforms
+    (_first_uniforms)."""
     script = _SCRIPTS[scenario.name]()
     probs = np.array(scenario.model.arrival_probs)
     n = len(probs)
@@ -720,17 +589,6 @@ def _lane_reports(
     else:
         settle(np.ones(len(live), dtype=bool), None)
     return reports
-
-
-def _record_gap(
-    gap: list[int], g: SystemState, pi: SystemState, departure_gap: int
-) -> None:
-    gap.append(departure_gap)
-    backlog_diff = sum(g.queues) - sum(pi.queues)
-    if backlog_diff != gap[-1]:
-        raise RuntimeError(
-            "conservation identity broken inside the coupling harness"
-        )
 
 
 def _extend_powers(

@@ -290,15 +290,12 @@ def block_size(num_locations: int, num_robots: int) -> int:
 
 def _dwell_scan(p: float, n: int, search_max: int) -> tuple[int, float]:
     """Integer dwell t in [1, search_max] minimizing the patrol objective at
-    total_time = n * t, preferring the smaller t on ties, with its value."""
-    if not 0.0 < p < 1.0:
-        raise DegenerateRateError("degenerate rate")
-    if n < 1:
-        raise ValueError("block size must be at least 1")
-    if search_max < 1:
-        raise ValueError("search_max must be at least 1")
+    total_time = n * t, preferring the smaller t on ties, with its value.
+    The first dwell_objective call checks p and n."""
     best_t = 1
     best_f = dwell_objective(p, n, float(n))
+    if search_max < 1:
+        raise ValueError("search_max must be at least 1")
     for t in range(2, search_max + 1):
         f = dwell_objective(p, n, float(n * t))
         if f < best_f:

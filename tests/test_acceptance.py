@@ -24,7 +24,7 @@ from eslsim import (
     build_truncated_mdp,
     check_esl_optimality,
     check_gap_pattern,
-    coupled_run,
+    coupled_runs,
     cyclic_decide,
     dwell_objective,
     esl_decide,
@@ -163,9 +163,8 @@ def test_criterion_5_coupling_patterns():
         beta = scenario.model.discount
         diffs = []
         refs = []
-        for seed in range(1000):
-            report = coupled_run(scenario, horizon=2000, seed=seed)
-            assert check_gap_pattern(report) == [], (name, seed)
+        for _, report in coupled_runs([scenario], 2000, range(1000)):
+            assert check_gap_pattern(report) == [], (name, report.seed)
             if name == "prop4":
                 diffs.append(report.discounted_diff)
                 refs.append(

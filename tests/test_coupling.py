@@ -1,4 +1,9 @@
-"""Paired-run scenarios: preconditions, exact gap shapes, closed-form diffs."""
+"""Paired-run scenarios: preconditions, exact gap shapes, closed-form diffs.
+
+The lane engine is held to tests/scalar_coupling.py, the scalar paired
+slot loop, report for report.  Faults are planted in both engines' steps:
+model.step, looked up by the oracle, and LockstepLanes.step.
+"""
 
 import dataclasses
 import itertools
@@ -7,6 +12,7 @@ import numpy as np
 import pytest
 
 import eslsim.coupling
+import scalar_coupling
 from eslsim.model import LockstepLanes
 from eslsim import (
     CouplingScenario,
@@ -19,6 +25,22 @@ from eslsim import (
     coupled_runs,
     make_scenario,
 )
+
+
+def _reprs(reports):
+    return [repr(report) for report in reports]
+
+
+def lane_runs(scenario, horizon, seeds):
+    """coupled_runs on one scenario, as its reports."""
+    return (report for _, report in coupled_runs([scenario], horizon, seeds))
+
+
+def scalar_runs(scenario, horizon, seeds):
+    """The oracle's reports, one seed at a time."""
+    return (
+        scalar_coupling.coupled_run(scenario, horizon, seed) for seed in seeds
+    )
 
 
 def test_default_scenarios_validate():
@@ -79,8 +101,7 @@ def test_prop1a_needs_a_second_free_location():
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_gap_patterns_hold_on_every_path(name):
     scenario = make_scenario(name)
-    for seed in range(150):
-        report = coupled_run(scenario, horizon=1500, seed=seed)
+    for report in lane_runs(scenario, 1500, range(150)):
         assert report.coupled
         assert check_gap_pattern(report) == []
         assert report.gap[0] == 0
@@ -89,8 +110,7 @@ def test_gap_patterns_hold_on_every_path(name):
 def test_idle_deviation_cost_gap_closed_form():
     scenario = make_scenario("prop1B")
     beta = scenario.model.discount
-    for seed in range(60):
-        r = coupled_run(scenario, horizon=1500, seed=seed)
+    for r in lane_runs(scenario, 1500, range(60)):
         expected = sum(beta**t for t in range(1, r.tau + 1))
         assert r.discounted_diff == pytest.approx(expected, abs=1e-12)
         assert r.terminal_gap == 0
@@ -99,8 +119,7 @@ def test_idle_deviation_cost_gap_closed_form():
 def test_shorter_target_cost_gap_closed_form():
     scenario = make_scenario("prop4")
     beta = scenario.model.discount
-    for seed in range(60):
-        r = coupled_run(scenario, horizon=1500, seed=seed)
+    for r in lane_runs(scenario, 1500, range(60)):
         assert r.k == 2
         expected = sum(beta**t for t in range(r.tau + 1, r.tau + r.k + 1))
         assert r.discounted_diff == pytest.approx(expected, abs=1e-12)
@@ -109,8 +128,7 @@ def test_shorter_target_cost_gap_closed_form():
 
 def test_mirrored_idle_gap_freezes_at_initial_backlog():
     scenario = make_scenario("prop2")
-    for seed in range(60):
-        r = coupled_run(scenario, horizon=1500, seed=seed)
+    for r in lane_runs(scenario, 1500, range(60)):
         assert r.terminal_gap == scenario.initial_state.queues[1]
         assert r.discounted_diff > 0
 
@@ -135,7 +153,7 @@ def test_lost_departure_breaks_the_conservation_check(name, monkeypatch):
     """A step that under-reports one departure leaves the departure gap
     one task off the backlog difference, and the harness must refuse to
     report the run."""
-    real_step = eslsim.coupling.step
+    real_step = scalar_coupling.step
     dropped = []
 
     def lossy_step(state, joint, arrivals):
@@ -147,15 +165,39 @@ def test_lost_departure_breaks_the_conservation_check(name, monkeypatch):
             delta = delta._replace(departures=tuple(departures))
         return next_state, delta
 
-    monkeypatch.setattr(eslsim.coupling, "step", lossy_step)
+    monkeypatch.setattr(scalar_coupling, "step", lossy_step)
     with pytest.raises(RuntimeError, match="conservation identity"):
-        coupled_run(make_scenario(name), horizon=200, seed=0)
+        scalar_coupling.coupled_run(make_scenario(name), horizon=200, seed=0)
     assert dropped
 
 
 def test_bad_horizon_rejected():
     with pytest.raises(ValueError):
         coupled_run(make_scenario("prop1B"), horizon=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name,p,queues,horizon",
+    [(name, 0.1, None, h) for name in SCENARIO_NAMES for h in (1, 2000)]
+    + [("prop1B", 0.4, (30, 0), 2000)],
+)
+def test_coupled_run_is_one_lane_of_coupled_runs(name, p, queues, horizon):
+    """The public one-seed call gives coupled_runs' report and the
+    oracle's, bit for bit; the prop1B runs from 30 tasks outlive the
+    first arrival block."""
+    state = None if queues is None else SystemState((0,), queues)
+    scenario = make_scenario(name, p=p, initial_state=state)
+    for seed in (0, 5):
+        report = coupled_run(scenario, horizon, seed)
+        lane = next(coupled_runs([scenario], horizon, [seed]))[1]
+        assert repr(report) == repr(lane)
+        assert repr(report) == repr(
+            scalar_coupling.coupled_run(scenario, horizon, seed)
+        )
+        if queues is not None:
+            assert len(report.gap) - 1 > eslsim.coupling._BLOCK
+    with pytest.raises(ValueError, match="horizon"):
+        coupled_run(scenario, 0, 0)
 
 
 def test_bystander_robots_do_not_disturb_patterns():
@@ -184,8 +226,7 @@ def test_bystander_robots_do_not_disturb_patterns():
         ),
     ]
     for scenario in cases:
-        for seed in range(40):
-            report = coupled_run(scenario, horizon=1500, seed=seed)
+        for report in lane_runs(scenario, 1500, range(40)):
             assert report.coupled
             assert check_gap_pattern(report) == []
 
@@ -256,7 +297,7 @@ def _step_moving_tasks(call, src, dst, tasks=1):
     untouched, so the conservation identity still holds but the paired
     paths no longer meet.  Each slot steps G first and PI second: calls 2t
     and 2t + 1."""
-    real_step = eslsim.coupling.step
+    real_step = scalar_coupling.step
     calls = itertools.count()
 
     def moving_step(state, joint, arrivals):
@@ -304,10 +345,10 @@ def test_displaced_task_breaks_the_meeting_check(
     scenario = make_scenario(name)
     for seed in range(40):
         monkeypatch.setattr(
-            eslsim.coupling, "step", _step_moving_tasks(call, src, dst)
+            scalar_coupling, "step", _step_moving_tasks(call, src, dst)
         )
         with pytest.raises(RuntimeError, match=message):
-            coupled_run(scenario, horizon=2000, seed=seed)
+            scalar_coupling.coupled_run(scenario, horizon=2000, seed=seed)
 
 
 @pytest.mark.parametrize("name,call,src,dst,message", MEETING_FAULTS)
@@ -329,10 +370,10 @@ def test_drained_long_queue_breaks_prop4_on_both_engines(monkeypatch):
     scenario = make_scenario("prop4")
     for seed in range(40):
         monkeypatch.setattr(
-            eslsim.coupling, "step", _step_moving_tasks(1, 1, 2, tasks=99)
+            scalar_coupling, "step", _step_moving_tasks(1, 1, 2, tasks=99)
         )
         with pytest.raises(RuntimeError, match="ran dry"):
-            coupled_run(scenario, 2000, seed)
+            scalar_coupling.coupled_run(scenario, 2000, seed)
         monkeypatch.setattr(
             LockstepLanes, "step", _lanes_step_moving_tasks(1, 1, 2, 99)
         )
@@ -363,22 +404,13 @@ def test_lost_departure_breaks_the_lane_conservation_check(
     assert kept
 
 
-def _reprs(reports):
-    return [repr(report) for report in reports]
-
-
-def lane_runs(scenario, horizon, seeds):
-    """coupled_runs on one scenario, as its reports."""
-    return (report for _, report in coupled_runs([scenario], horizon, seeds))
-
-
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_lanes_match_coupled_run_across_chunks(name):
     scenario = make_scenario(name)
     seeds = range(2 * eslsim.coupling._CHUNK + 3)
     for horizon in (3, 2000):
         assert _reprs(lane_runs(scenario, horizon, seeds)) == _reprs(
-            coupled_run(scenario, horizon, seed) for seed in seeds
+            scalar_runs(scenario, horizon, seeds)
         )
 
 
@@ -392,7 +424,7 @@ def test_lanes_outliving_their_arrival_block_match_coupled_run():
     block = eslsim.coupling._BLOCK
     for horizon in (1, block + 8, 2 * block, 2 * block + 1, 2000):
         assert _reprs(lane_runs(scenario, horizon, seeds)) == _reprs(
-            coupled_run(scenario, horizon, seed) for seed in seeds
+            scalar_runs(scenario, horizon, seeds)
         )
     slots = [len(r.gap) - 1 for r in lane_runs(scenario, 2000, seeds)]
     assert min(slots) > block
@@ -405,9 +437,7 @@ def test_lane_reports_come_back_in_seed_order():
     reports = list(lane_runs(scenario, 2000, [3, 7, 3]))
     assert [r.seed for r in reports] == [3, 7, 3]
     assert [r.coupling_time for r in reports] == [6, 4, 6]
-    assert _reprs(reports) == _reprs(
-        coupled_run(scenario, 2000, seed) for seed in (3, 7, 3)
-    )
+    assert _reprs(reports) == _reprs(scalar_runs(scenario, 2000, (3, 7, 3)))
 
 
 def test_lanes_take_no_seeds_and_reject_a_bad_horizon():
@@ -442,7 +472,8 @@ def test_mixed_scenarios_share_each_seed_and_match_coupled_run():
         for seed in seeds[i:i + chunk]
     ]
     assert [repr(r) for _, r in pairs] == [
-        repr(coupled_run(scenarios[k], 2000, r.seed)) for k, r in pairs
+        repr(scalar_coupling.coupled_run(scenarios[k], 2000, r.seed))
+        for k, r in pairs
     ]
     slots = [len(r.gap) - 1 for k, r in pairs if k == 2]
     assert min(slots) > eslsim.coupling._BLOCK

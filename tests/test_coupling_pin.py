@@ -6,9 +6,10 @@ horizon over the repr of each seed's `CouplingReport` (every field, so
 plus the full records of seeds 0-2 at the long horizon.  The fixture was
 written by the harness as it stood before its four per-scenario slot loops
 were merged into one, so any change in the paired paths, the gap, the
-closed-form sum or the pattern verdicts shows up here.  Both engines are
-held to it: coupled_run seed by seed, and coupled_runs with every seed of
-a case as one lane.
+closed-form sum or the pattern verdicts shows up here.  Both the engine and
+its oracle are held to it: coupled_runs with every seed of a case as one
+lane, and tests/scalar_coupling.py's coupled_run seed by seed, which also
+prints the fixture.
 
 Print the fixture with:  PYTHONPATH=src python3 tests/test_coupling_pin.py
 """
@@ -20,12 +21,12 @@ from pathlib import Path
 
 import pytest
 
+import scalar_coupling
 from eslsim import (
     SCENARIO_NAMES,
     ModelConfig,
     SystemState,
     check_gap_pattern,
-    coupled_run,
     coupled_runs,
     make_scenario,
 )
@@ -67,7 +68,9 @@ def record(report) -> dict:
 
 
 def scalar_runs(scenario, horizon: int, seeds):
-    return (coupled_run(scenario, horizon, seed) for seed in seeds)
+    return (
+        scalar_coupling.coupled_run(scenario, horizon, seed) for seed in seeds
+    )
 
 
 def lane_runs(scenario, horizon: int, seeds):

@@ -1,15 +1,16 @@
-"""Mutation check: break the exact solver, the coupling harness, the
-shared arrival table, the array serve-then-seek and fcfs rules, the lane
-feasibility check and the cyclic patrol and its scan on purpose and show
-that the tests notice.
+"""Mutation check: break the exact solver, the coupling engine and its
+oracle, the shared arrival table, the array serve-then-seek and fcfs
+rules, the lane feasibility check and the cyclic patrol and its scan on
+purpose and show that the tests notice.
 
-Each mutant is one textual edit to a file under src/.  For each, the
-script copies src/ and tests/ to a temporary directory, applies the edit
-there, runs the tests in TESTS against the
-copy, and reports the mutant killed (the tests fail) or survived (they
-pass).  An unmutated copy runs first and must pass, so that a broken
-suite cannot count as killing every mutant.  The working tree is never
-modified.
+Each mutant is one textual edit to a file under src/, or to an oracle
+under tests/ that a fast path is tested against; MUTANTS lists them with
+the file each one edits.  For each, the script copies src/ and tests/ to a
+temporary directory, applies the edit there, runs the tests in TESTS
+against the copy, and reports the mutant killed (the tests fail) or
+survived (they pass).  An unmutated copy runs first and must pass, so
+that a broken suite cannot count as killing every mutant.  The working
+tree is never modified.
 
 Run with:  python3 tools/mutants.py
 Exit status 0 when every mutant is killed, 1 otherwise.
@@ -71,26 +72,28 @@ MUTANTS = [
         "1,",
     ),
     (
-        "coupling._record_gap never raises",
-        "src/eslsim/coupling.py",
+        "coupling oracle: _record_gap never raises",
+        "tests/scalar_coupling.py",
         "if backlog_diff != gap[-1]:",
         "if False:",
     ),
     (
-        "coupling: PI reads the unswapped draw",
-        "src/eslsim/coupling.py",
+        "coupling oracle: PI reads the unswapped draw",
+        "tests/scalar_coupling.py",
         "if script.swap:",
         "if False:",
     ),
     (
-        "coupling: prop1A never checks the meeting at the return slot",
-        "src/eslsim/coupling.py",
+        "coupling oracle: prop1A never checks the meeting at the return "
+        "slot",
+        "tests/scalar_coupling.py",
         "if g != pi:\n            raise",
         "if False:\n            raise",
     ),
     (
-        "coupling: prop4 never checks the meeting after the crossing",
-        "src/eslsim/coupling.py",
+        "coupling oracle: prop4 never checks the meeting after the "
+        "crossing",
+        "tests/scalar_coupling.py",
         "if mirrored != g:",
         "if False:",
     ),
