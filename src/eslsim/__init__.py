@@ -56,8 +56,6 @@ from .evaluator import (
     grid_dwell_metadata,
     run_episode,
     run_grid,
-    run_cyclic_scan,
-    run_lockstep,
 )
 from .mdp import (
     ConvergenceError,

@@ -7,17 +7,17 @@ with the same seed face identical arrival sample paths (common random
 numbers) no matter how their decisions differ.
 
 run_episode is the reference slot loop.  run_grid runs each group of
-episodes through run_lanes.  Cyclic groups of any size go to
-run_cyclic_scan: the patrol is a closed form in the slot index
-(policies.patrol_end), so each queue is a Lindley recursion on a known
-service schedule, solved with array scans one time chunk at a time, and
-each chunk's schedule passes model.lane_collision_free.  Large esl and
-fcfs groups go to run_lockstep, which advances many episodes together as
-integer arrays, one slot per step, with policies.serve_then_seek_lanes
-and policies.fcfs_lanes as its rules; it keeps only fcfs's FIFO book.
-Both reproduce run_episode's metrics exactly.  Every engine draws its
-arrivals with model.arrival_table, run_episode through the one-lane view
-_pregen_arrivals, and builds its metrics with _metrics.
+episodes through run_lanes, the one path of a lane group.  It checks the
+group, runs small esl and fcfs groups through run_episode, and otherwise
+draws the group's arrivals once (model.arrival_table), sums its episodes
+with one of two kernels and builds the metrics with _metrics.
+run_cyclic_scan takes cyclic groups of any size: the patrol is a closed
+form in the slot index (policies.patrol_end), so each queue is a Lindley
+recursion on a known service schedule, solved with array scans one time
+chunk at a time.  run_lockstep advances esl and fcfs episodes together as
+integer arrays, one slot per step, with policies.serve_then_seek_lanes and
+policies.fcfs_lanes as its rules.  Both check feasibility and conservation
+and reproduce run_episode's metrics exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from .policies import (
     dwell_metadata,
     fcfs_lanes,
     make_policy,
+    patrol_blocks,
     patrol_end,
+    patrol_legs,
     resolve_dwell,
     serve_then_seek_lanes,
 )
@@ -188,18 +190,6 @@ def _metrics(
     )
 
 
-def _lane_metrics(
-    group: Sequence[tuple[ExperimentConfig, int]],
-    discounted, queued, served, switched,
-) -> list[EpisodeMetrics]:
-    """_metrics of every lane of a group, from (R,) arrays of its sums."""
-    sums = (discounted, queued, served, switched)
-    return [
-        _metrics(config, *lane)
-        for (config, _), *lane in zip(group, *(a.tolist() for a in sums))
-    ]
-
-
 def run_episode(
     config: ExperimentConfig,
     seed: int,
@@ -245,9 +235,11 @@ def run_episode(
     return _metrics(config, discounted, queue_total_sum, serve_ct, switch_ct)
 
 
-# A group of episodes with fewer lanes than this runs episode by episode
-# through run_episode: below it the lockstep engine's fixed numpy cost per
-# slot outweighs the lanes it shares that cost across.
+# A group of esl or fcfs episodes with fewer lanes than this runs episode
+# by episode through run_episode.  Best of 3 at (6, 3), alpha 0.8, 2,000
+# slots on 2 cores, lockstep against run_episode: esl 139 vs 154 ms at 8
+# lanes, fcfs 265 vs 312 ms at 10 (255 vs 247 at 8); at 2 lanes the
+# scalar loop is 3-4x faster.
 LOCKSTEP_MIN_LANES = 10
 
 
@@ -270,21 +262,9 @@ def _fcfs_book(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stamps, cursor
 
 
-def _group_arrivals(
-    group: Sequence[tuple[ExperimentConfig, int]],
-) -> np.ndarray:
-    """(horizon, R, N) arrival table of a lane group, each lane's as
-    run_episode draws it."""
-    return arrival_table(
-        [seed for _, seed in group],
-        [config.model.arrival_probs for config, _ in group],
-        group[0][0].horizon,
-    )
-
-
 def _lane_group_key(config: ExperimentConfig) -> tuple:
-    """What the lanes of one lockstep group must share; p and the cyclic
-    dwell may differ from lane to lane."""
+    """What the lanes of one group must share; p and the cyclic dwell may
+    differ from lane to lane."""
     m = config.model
     return (
         m.num_locations,
@@ -295,57 +275,37 @@ def _lane_group_key(config: ExperimentConfig) -> tuple:
     )
 
 
-def _shared_config(
-    group: Sequence[tuple[ExperimentConfig, int]],
-) -> ExperimentConfig:
-    """The first lane's config, once every lane shares its group key."""
-    first = group[0][0]
-    if any(_lane_group_key(c) != _lane_group_key(first) for c, _ in group):
-        raise ValueError(
-            "the lanes of a group must share N, M, discount, horizon and "
-            "policy"
-        )
-    return first
-
-
 def run_lockstep(
-    group: Sequence[tuple[ExperimentConfig, int]],
-) -> list[EpisodeMetrics]:
-    """run_episode(config, seed) for every (config, seed) lane at once.
+    group: Sequence[tuple[ExperimentConfig, int]], table: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """run_lanes' kernel for an esl or fcfs group and its (horizon, R, N)
+    arrival table: each lane's (discounted cost, queue total, serves,
+    switches) sums over its episode, as (R,) arrays.
 
-    The lanes must agree on N, M, discount, horizon and policy, esl or
-    fcfs.  All lanes advance one slot per step as integer arrays, and the
-    rules are the array forms in policies: serve_then_seek_lanes for esl
-    and fcfs_lanes for fcfs, fed each location's oldest arrival slot from
-    the FIFO book (_fcfs_book), whose cursor advances wherever a robot
-    serves.  LockstepLanes.step checks feasibility every slot, and the
-    metrics are accumulated with the
-    same float operations in the same order as run_episode's slot loop and
-    built by the same _metrics, so each lane's EpisodeMetrics equals
-    run_episode's exactly.
+    All lanes advance one slot per step, with serve_then_seek_lanes for
+    esl and fcfs_lanes for fcfs, fed each location's oldest arrival slot
+    from the FIFO book (_fcfs_book), whose cursor advances wherever a robot
+    serves.  LockstepLanes.step checks feasibility every slot, the sums
+    repeat run_episode's float operations in order, and at the end every
+    queue must be non-negative and each lane's queue total equal its
+    arrivals less its serves.
     """
-    if not group:
-        return []
-    first = _shared_config(group)
-    if first.policy == "cyclic":
-        raise ValueError("cyclic lanes run through run_cyclic_scan")
-    m = first.model.num_robots
-    horizon, beta = first.horizon, first.model.discount
-    table = _group_arrivals(group)
+    first = group[0][0]
+    beta = first.model.discount
     fcfs = first.policy == "fcfs"
     if fcfs:
         stamps, cursor = _fcfs_book(table)
     lanes = LockstepLanes(len(group), initial_state(first.model))
     discounted = np.zeros(len(group))
     weight = 1.0
-    queue_total_sum = np.zeros(len(group), dtype=np.int64)
-    serve_ct = np.zeros((len(group), m), dtype=np.int64)
-    switch_ct = np.zeros((len(group), m), dtype=np.int64)
-    for t in range(horizon):
+    queued = np.zeros(len(group), dtype=np.int64)
+    serve_ct = np.zeros(lanes.robots.shape, dtype=np.int64)
+    switch_ct = np.zeros(lanes.robots.shape, dtype=np.int64)
+    for arrivals in table:
         total = lanes.queues.sum(axis=1)
         discounted += weight * total
         weight *= beta
-        queue_total_sum += total
+        queued += total
         if fcfs:
             serve, end = fcfs_lanes(
                 lanes.robots, lanes.queues, stamps.take(cursor)
@@ -357,11 +317,13 @@ def run_lockstep(
             )
         serve_ct += serve
         switch_ct += end != lanes.robots
-        lanes.step(serve, end, table[t])
-    return _lane_metrics(
-        group, discounted, queue_total_sum,
-        serve_ct.sum(axis=1), switch_ct.sum(axis=1),
-    )
+        lanes.step(serve, end, arrivals)
+    served = serve_ct.sum(axis=1)
+    queues = lanes.queues
+    arrived = table.sum(axis=(0, 2))
+    if (queues < 0).any() or (queues.sum(axis=1) != arrived - served).any():
+        raise RuntimeError("queue conservation broken inside the lockstep")
+    return discounted, queued, served, switch_ct.sum(axis=1)
 
 
 # The cyclic scan runs its lanes in time chunks of about
@@ -398,124 +360,112 @@ def _lindley(
     return start, left[-1] + arrivals[-1]
 
 
-class _CyclicScan:
-    """The cyclic lanes of one group between two time chunks of the scan:
-    the patrol's legs and each lane's dwell, and what one chunk hands the
-    next (queues, end positions, discount weight, discounted sums) along
-    with the running sums of queue totals, switches and departures."""
+def run_cyclic_scan(
+    group: Sequence[tuple[ExperimentConfig, int]], table: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """run_lanes' kernel for a cyclic group and its (horizon, R, N) arrival
+    table: each lane's sums over its episode, as run_lockstep's.
 
-    def __init__(self, group: Sequence[tuple[ExperimentConfig, int]]):
-        first = group[0][0]
-        horizon, n = first.horizon, first.model.num_locations
-        self.num_robots = first.model.num_robots
-        self.beta = first.model.discount
-        # the legs depend on N, M and the start state, which lanes share
-        patrol = make_policy("cyclic", first.model, **first.policy_params)
-        start = initial_state(first.model)
-        patrol.reset(start)
-        # every slot index, location, queue length and dwell period fits
-        self.dtype = dtype = np.min_scalar_type(-max(horizon, n) - 2)
-        self.legs = np.array(patrol.legs, dtype).T
-        # a dwell longer than the horizon never ends within it
-        self.dwell = np.array(
-            [[min(c.policy_params["t_dwell"], horizon)] for c, _ in group],
-            dtype,
-        )
-        num_lanes = len(group)
-        self.locations = np.arange(n, dtype=dtype)
-        self.queues = np.zeros((num_lanes, n), dtype)
-        self.ends = np.array([start.robots] * num_lanes, dtype)
-        self.weight = 1.0
-        self.discounted = np.zeros(num_lanes)
-        self.queued = np.zeros(num_lanes, dtype=np.int64)
-        self.switched = np.zeros(num_lanes, dtype=np.int64)
-        self.departed = np.zeros((num_lanes, n), dtype=np.int64)
-
-    def advance(self, t0: int, arrivals: np.ndarray) -> None:
-        """Run slots t0, t0 + 1, ... with the chunk's (C, R, N) arrivals."""
-        m, locations = self.num_robots, self.locations
+    The patrol never reads the queues, so patrol_end gives every robot's
+    end location at every slot, and a location is served in slot t when a
+    robot both starts and ends the slot there.  Each time chunk checks
+    that schedule with model.lane_collision_free (InfeasibleActionError
+    otherwise), runs each queue's Lindley recursion (_lindley) and hands
+    the next chunk its queues, end positions, discount weight and sums,
+    which repeat run_episode's float operations in order.  At the end every
+    queue must be non-negative and equal its arrivals less its departures.
+    """
+    first = group[0][0]
+    horizon, model = first.horizon, first.model
+    n, m, beta = model.num_locations, model.num_robots, model.discount
+    start = initial_state(model)
+    # every slot index, location, queue length and dwell period fits
+    dtype = np.min_scalar_type(-max(horizon, n) - 2)
+    # the legs depend on N, M and the start state, which lanes share
+    legs = np.array(patrol_legs(start, patrol_blocks(n, m)), dtype).T
+    # a dwell longer than the horizon never ends within it
+    dwell = np.array(
+        [[min(c.policy_params["t_dwell"], horizon)] for c, _ in group], dtype
+    )
+    locations = np.arange(n, dtype=dtype)
+    queues = np.zeros((len(group), n), dtype)
+    ends = np.array([start.robots] * len(group), dtype)
+    weight = 1.0
+    discounted = np.zeros(len(group))
+    queued = np.zeros(len(group), dtype=np.int64)
+    switched = np.zeros(len(group), dtype=np.int64)
+    departed = np.zeros((len(group), n), dtype=np.int64)
+    rows = max(_SCAN_MIN_ROWS, _SCAN_CHUNK_ENTRIES // (len(group) * n))
+    for t0 in range(0, horizon, rows):
+        arrivals = table[t0:t0 + rows]
         size = len(arrivals)
-        slots = np.arange(t0, t0 + size, dtype=self.dtype)[:, None, None]
-        end = patrol_end(slots, *self.legs, self.dwell)
-        if not lane_collision_free(end.reshape(-1, m), len(locations)).all():
+        slots = np.arange(t0, t0 + size, dtype=dtype)[:, None, None]
+        end = patrol_end(slots, *legs, dwell)
+        if not lane_collision_free(end.reshape(-1, m), n).all():
             raise InfeasibleActionError("infeasible cyclic schedule")
         stay = np.empty(end.shape, dtype=bool)
-        np.equal(end[0], self.ends, out=stay[0])
+        np.equal(end[0], ends, out=stay[0])
         np.equal(end[1:], end[:-1], out=stay[1:])
-        self.ends = end[-1].copy()
-        self.switched += m * size - np.count_nonzero(stay, axis=(0, 2))
+        ends = end[-1].copy()
+        switched += m * size - np.count_nonzero(stay, axis=(0, 2))
         # a robot serves where it starts and ends the slot, if tasks wait
         end[~stay] = -1
         serve = np.zeros(arrivals.shape, dtype=bool)
         for r in range(m):
             serve |= end[..., r, None] == locations
-        start_q, self.queues = _lindley(self.queues, serve, arrivals)
+        start_q, queues = _lindley(queues, serve, arrivals)
         total = start_q.sum(axis=2)
-        self.queued += total.sum(axis=0)
+        queued += total.sum(axis=0)
         serve &= start_q > 0
-        self.departed += serve.sum(axis=0)
-        weights = np.full(size, self.beta)
-        weights[0] = self.weight
+        departed += serve.sum(axis=0)
+        weights = np.full(size, beta)
+        weights[0] = weight
         np.multiply.accumulate(weights, out=weights)
-        self.weight = weights[-1] * self.beta
-        terms = np.empty((size + 1, len(self.discounted)))
-        terms[0] = self.discounted
+        weight = weights[-1] * beta
+        terms = np.empty((size + 1, len(group)))
+        terms[0] = discounted
         np.multiply(weights[:, None], total, out=terms[1:])
         np.add.accumulate(terms, axis=0, out=terms)
-        self.discounted = terms[-1].copy()
-
-
-def run_cyclic_scan(
-    group: Sequence[tuple[ExperimentConfig, int]],
-) -> list[EpisodeMetrics]:
-    """run_episode(config, seed) for every cyclic (config, seed) lane at
-    once, one time chunk at a time (_CyclicScan.advance).
-
-    The lanes must agree on N, M, discount, horizon and policy; p and the
-    dwell may differ.  The patrol never reads the queues, so patrol_end
-    gives every robot's end location at every slot, and a location is
-    served in slot t when a robot both starts and ends the slot there.
-    Each chunk checks that schedule with model.lane_collision_free (every
-    end on the map, distinct ends in every slot of every lane;
-    InfeasibleActionError otherwise), then
-    runs each queue's Lindley recursion (_lindley).  The discount weights
-    and the discounted sums accumulate in slot order with run_episode's
-    float operations, so each lane's EpisodeMetrics equals run_episode's
-    exactly.  At the end every queue must be non-negative and equal its
-    arrivals less its departures.
-    """
-    if not group:
-        return []
-    first = _shared_config(group)
-    if first.policy != "cyclic":
-        raise ValueError("the scan runs cyclic lanes only")
-    n, horizon = first.model.num_locations, first.horizon
-    table = _group_arrivals(group)
-    scan = _CyclicScan(group)
-    rows = max(_SCAN_MIN_ROWS, _SCAN_CHUNK_ENTRIES // (len(group) * n))
-    for t0 in range(0, horizon, rows):
-        scan.advance(t0, table[t0:t0 + rows])
-    queues = scan.queues
+        discounted = terms[-1].copy()
     arrived = table.sum(axis=0)
-    if (queues < 0).any() or (queues != arrived - scan.departed).any():
+    if (queues < 0).any() or (queues != arrived - departed).any():
         raise RuntimeError("queue conservation broken inside the cyclic scan")
-    return _lane_metrics(
-        group, scan.discounted, scan.queued,
-        scan.departed.sum(axis=1), scan.switched,
-    )
+    return discounted, queued, departed.sum(axis=1), switched
 
 
 def run_lanes(
     group: Sequence[tuple[ExperimentConfig, int]],
 ) -> list[EpisodeMetrics]:
-    """Metrics of every (config, seed) lane of one group, in order: cyclic
-    groups through run_cyclic_scan, any size; esl and fcfs through
-    run_lockstep from LOCKSTEP_MIN_LANES lanes up, else run_episode."""
-    if group and group[0][0].policy == "cyclic":
-        return run_cyclic_scan(group)
-    if len(group) < LOCKSTEP_MIN_LANES:
+    """run_episode(config, seed) for every (config, seed) lane of one
+    group, in order.  The lanes must share N, M, discount, horizon and
+    policy (else ValueError).  esl and fcfs groups below LOCKSTEP_MIN_LANES
+    run through run_episode; otherwise the group's arrival table is drawn
+    once and a kernel, run_cyclic_scan for cyclic and run_lockstep for esl
+    and fcfs, sums each lane's episode, which _metrics turns into
+    run_episode's EpisodeMetrics exactly."""
+    if not group:
+        return []
+    first = group[0][0]
+    key = _lane_group_key(first)
+    if any(_lane_group_key(c) != key for c, _ in group):
+        raise ValueError(
+            "the lanes of a group must share N, M, discount, horizon and "
+            "policy"
+        )
+    cyclic = first.policy == "cyclic"
+    if not cyclic and len(group) < LOCKSTEP_MIN_LANES:
         return [run_episode(config, seed) for config, seed in group]
-    return run_lockstep(group)
+    table = arrival_table(
+        [seed for _, seed in group],
+        [config.model.arrival_probs for config, _ in group],
+        first.horizon,
+    )
+    kernel = run_cyclic_scan if cyclic else run_lockstep
+    sums = kernel(group, table)
+    return [
+        _metrics(config, *lane)
+        for (config, _), *lane in zip(group, *(a.tolist() for a in sums))
+    ]
 
 
 def _ci_half_width(values: Sequence[float]) -> float:

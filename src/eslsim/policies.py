@@ -228,6 +228,18 @@ def patrol_blocks(
     ]
 
 
+def patrol_legs(
+    state: SystemState, blocks: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """Each robot's leg (lead, block start, block size) of the patrol over
+    blocks (patrol_blocks) from state: lead is 1 when the robot starts off
+    its block head."""
+    return tuple(
+        (int(loc != start), start, size)
+        for loc, (start, size) in zip(state.robots, blocks)
+    )
+
+
 def patrol_end(now, leads, starts, sizes, dwell):
     """Where fixed-dwell patrol puts a robot at the end of slot now, from
     its leg (lead, block start, block size) and its dwell:
@@ -444,10 +456,7 @@ class CyclicPolicy:
         self.legs = None
 
     def reset(self, state: SystemState) -> None:
-        self.legs = tuple(
-            (int(loc != start), start, size)
-            for loc, (start, size) in zip(state.robots, self.blocks)
-        )
+        self.legs = patrol_legs(state, self.blocks)
 
     def decide(self, state: SystemState, now: int) -> JointAction:
         return cyclic_decide(state, now, self.t_dwell, self.legs)

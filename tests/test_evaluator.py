@@ -327,6 +327,16 @@ def shrink_scan_chunks(monkeypatch, rows):
     monkeypatch.setattr(evaluator, "_SCAN_MIN_ROWS", rows)
 
 
+def forbid_run_episode(monkeypatch):
+    """Make run_lanes fail if it sends a group episode by episode, so the
+    lane kernels, not the reference loop, give what a test compares."""
+
+    def scalar_path(*args):
+        raise AssertionError("this group must run through a lane kernel")
+
+    monkeypatch.setattr(evaluator, "run_episode", scalar_path)
+
+
 @pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
 @pytest.mark.parametrize("policy", ["esl", "fcfs", "cyclic"])
 def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
@@ -338,12 +348,9 @@ def test_lockstep_matches_run_episode(monkeypatch, policy, n, m):
         for cell in lockstep_cells(policy, n, m)
         for seed in LOCKSTEP_SEEDS
     ]
-    engine = (
-        evaluator.run_cyclic_scan
-        if policy == "cyclic"
-        else evaluator.run_lockstep
-    )
-    assert engine(lanes) == [run_episode(cell, seed) for cell, seed in lanes]
+    want = [run_episode(cell, seed) for cell, seed in lanes]
+    forbid_run_episode(monkeypatch)
+    assert evaluator.run_lanes(lanes) == want
 
 
 def test_lanes_sharing_a_seed_draw_it_once(monkeypatch):
@@ -403,38 +410,28 @@ def test_scan_matches_run_episode_at_every_lane_count(
 ):
     lanes = mixed_cyclic_lanes(n, m, count)
     want = [run_episode(cell, seed) for cell, seed in lanes]
+    forbid_run_episode(monkeypatch)
     # one-slot chunks, then chunks that leave a short last one
     for rows in (1, 13):
         shrink_scan_chunks(monkeypatch, rows)
-        assert evaluator.run_cyclic_scan(lanes) == want
+        assert evaluator.run_lanes(lanes) == want
 
 
-def test_scan_matches_run_episode_at_the_default_chunk_size():
+def test_scan_matches_run_episode_at_the_default_chunk_size(monkeypatch):
     """The real chunk size, on a group wide enough for several chunks."""
     lanes = mixed_cyclic_lanes(6, 2, 12, horizon=600)
     rows = evaluator._SCAN_CHUNK_ENTRIES // (12 * 6)
     assert 600 // rows >= 2
-    assert evaluator.run_cyclic_scan(lanes) == [
-        run_episode(cell, seed) for cell, seed in lanes
-    ]
+    want = [run_episode(cell, seed) for cell, seed in lanes]
+    forbid_run_episode(monkeypatch)
+    assert evaluator.run_lanes(lanes) == want
 
 
 def test_run_lanes_sends_small_cyclic_groups_to_the_scan(monkeypatch):
     lanes = mixed_cyclic_lanes(6, 3, 2)
     want = [run_episode(cell, seed) for cell, seed in lanes]
-
-    def scalar_path(*args):
-        raise AssertionError("a cyclic group runs through the scan")
-
-    monkeypatch.setattr(evaluator, "run_episode", scalar_path)
+    forbid_run_episode(monkeypatch)
     assert evaluator.run_lanes(lanes) == want
-
-
-def test_scan_and_lockstep_reject_each_others_policies():
-    with pytest.raises(ValueError, match="cyclic"):
-        evaluator.run_cyclic_scan([(config_for("esl"), 0)])
-    with pytest.raises(ValueError, match="run_cyclic_scan"):
-        evaluator.run_lockstep(mixed_cyclic_lanes(6, 3, 2))
 
 
 @pytest.mark.parametrize("fault", ["shared", "off the map"])
@@ -456,7 +453,7 @@ def test_scan_checks_the_schedule_in_every_chunk(monkeypatch, fault):
 
     monkeypatch.setattr(evaluator, "patrol_end", faulty)
     with pytest.raises(InfeasibleActionError):
-        evaluator.run_cyclic_scan(lanes)
+        evaluator.run_lanes(lanes)
     # raised in the faulty chunk, two short of the last
     assert chunks == list(range(0, 100, 10))
 
@@ -479,7 +476,7 @@ def test_scan_conservation_check_catches_a_corrupt_carry(monkeypatch):
 
     monkeypatch.setattr(evaluator, "_lindley", corrupt)
     with pytest.raises(RuntimeError, match="conservation"):
-        evaluator.run_cyclic_scan(lanes)
+        evaluator.run_lanes(lanes)
     assert len(calls) == 12
 
 
@@ -495,11 +492,8 @@ def test_run_grid_lockstep_matches_run_episode(monkeypatch, policy, n, m):
         seen.append(list(metrics))
         return real_aggregate(metrics, **labels)
 
-    def scalar_path(*args):
-        raise AssertionError("a lane group this large must run in lockstep")
-
     monkeypatch.setattr(evaluator, "aggregate", capture)
-    monkeypatch.setattr(evaluator, "run_episode", scalar_path)
+    forbid_run_episode(monkeypatch)
     evaluator.run_grid(grid)
     assert seen == want
 
@@ -516,9 +510,12 @@ def test_lane_rule_runs_small_groups_through_run_episode(monkeypatch):
 
 
 def test_lockstep_rejects_mixed_lanes():
-    lanes = [(config_for("esl"), 0), (config_for("esl", m=2), 1)]
+    """The group key is checked before the engine is chosen, so a group
+    too small for the lockstep is checked too."""
+    lanes = [(config_for("esl", m=1), 0), (config_for("esl", m=2), 1)]
+    assert len(lanes) < evaluator.LOCKSTEP_MIN_LANES
     with pytest.raises(ValueError, match="share"):
-        evaluator.run_lockstep(lanes)
+        evaluator.run_lanes(lanes)
 
 
 def lanes_at(robots, queues):
@@ -611,8 +608,28 @@ def test_lockstep_checks_every_slot(monkeypatch):
     monkeypatch.setattr(evaluator, "serve_then_seek_lanes", faulty)
     cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
     with pytest.raises(InfeasibleActionError):
-        evaluator.run_lockstep([(cfg, seed) for seed in range(12)])
+        evaluator.run_lanes([(cfg, seed) for seed in range(12)])
     assert len(calls) == 37
+
+
+def test_lockstep_conservation_check_catches_a_dropped_task(monkeypatch):
+    """A task lost from one lane's queue at one late slot breaks final
+    queue total = arrivals - serves."""
+    real = evaluator.LockstepLanes.step
+    calls = []
+
+    def dropping(self, serve, end, arrivals):
+        real(self, serve, end, arrivals)
+        calls.append(None)
+        if len(calls) == 50:
+            lane, loc = np.argwhere(self.queues > 0)[0]
+            self.queues[lane, loc] -= 1
+
+    monkeypatch.setattr(evaluator.LockstepLanes, "step", dropping)
+    cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
+    with pytest.raises(RuntimeError, match="conservation"):
+        evaluator.run_lanes([(cfg, seed) for seed in range(12)])
+    assert len(calls) == 60
 
 
 def test_parallel_lockstep_matches_sequential():

@@ -1,7 +1,8 @@
 """Mutation check: break the exact solver, the coupling engine and its
 oracle, the shared arrival table, the array serve-then-seek and fcfs
-rules, the lane feasibility check and the cyclic patrol and its scan on
-purpose and show that the tests notice.
+rules, the lane feasibility check, the cyclic patrol and its scan, and
+the lane-group path with its lockstep on purpose and show that the tests
+notice.
 
 Each mutant is one textual edit to a file under src/, or to an oracle
 under tests/ that a fast path is tested against; MUTANTS lists them with
@@ -208,7 +209,7 @@ MUTANTS = [
         "return starts + (now - leads) // (dwell + 1) % sizes",
     ),
     (
-        "cyclic: reset ignores a robot that starts off its block head",
+        "cyclic: patrol_legs ignores a robot that starts off its block head",
         "src/eslsim/policies.py",
         "(int(loc != start), start, size)",
         "(0, start, size)",
@@ -222,15 +223,27 @@ MUTANTS = [
     (
         "scan: the schedule collision check never fires",
         "src/eslsim/evaluator.py",
-        "if not lane_collision_free(end.reshape(-1, m), "
-        "len(locations)).all():",
+        "if not lane_collision_free(end.reshape(-1, m), n).all():",
         "if False:",
     ),
     (
         "scan: the carried queue is dropped at a chunk boundary",
         "src/eslsim/evaluator.py",
-        "start_q, self.queues = _lindley(self.queues, serve, arrivals)",
-        "start_q, _ = _lindley(self.queues, serve, arrivals)",
+        "start_q, queues = _lindley(queues, serve, arrivals)",
+        "start_q, _ = _lindley(queues, serve, arrivals)",
+    ),
+    (
+        "run_lanes skips the group-key check",
+        "src/eslsim/evaluator.py",
+        "if any(_lane_group_key(c) != key for c, _ in group):",
+        "if False:",
+    ),
+    (
+        "run_lockstep's conservation check never fires",
+        "src/eslsim/evaluator.py",
+        "if (queues < 0).any() or (queues.sum(axis=1) != arrived - served)"
+        ".any():",
+        "if False:",
     ),
 ]
 
