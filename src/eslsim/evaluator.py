@@ -6,18 +6,22 @@ whole episode are drawn up front from the seed, so two policies evaluated
 with the same seed face identical arrival sample paths (common random
 numbers) no matter how their decisions differ.
 
-run_episode is the reference slot loop.  run_grid runs each group of
+run_episode is the reference slot loop and the oracle the kernels are
+tested against; run_grid does not call it.  run_grid runs each group of
 episodes through run_lanes, the one path of a lane group.  It checks the
-group, runs small esl and fcfs groups through run_episode, and otherwise
-draws the group's arrivals once (model.arrival_table), sums its episodes
-with one of two kernels and builds the metrics with _metrics.
+group, draws the group's arrivals once (model.arrival_table), sums its
+episodes with one of three kernels and builds the metrics with _metrics.
 run_cyclic_scan takes cyclic groups of any size: the patrol is a closed
 form in the slot index (policies.patrol_end), so each queue is a Lindley
 recursion on a known service schedule, solved with array scans one time
-chunk at a time.  run_lockstep advances esl and fcfs episodes together as
-integer arrays, one slot per step, with policies.serve_then_seek_lanes and
-policies.fcfs_lanes as its rules.  Both check feasibility and conservation
-and reproduce run_episode's metrics exactly.
+chunk at a time.  run_lockstep advances esl and fcfs groups of at least
+LOCKSTEP_MIN_LANES lanes together as integer arrays, one slot per step,
+with policies.serve_then_seek_lanes and policies.fcfs_lanes as its rules.
+run_slot_loop runs smaller esl and fcfs groups one lane at a time on
+plain int lists, with policies.serve_then_seek_ends and policies.fcfs_ends,
+the integer rules that the scalar deciders render as joint actions.  All
+three check feasibility and conservation and reproduce run_episode's
+metrics exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -38,18 +43,21 @@ from .model import (
     arrival_table,
     initial_state,
     lane_collision_free,
+    lane_rows,
     step,
 )
 from .policies import (
     POLICY_NAMES,
     block_size,
     dwell_metadata,
+    fcfs_ends,
     fcfs_lanes,
     make_policy,
     patrol_blocks,
     patrol_end,
     patrol_legs,
     resolve_dwell,
+    serve_then_seek_ends,
     serve_then_seek_lanes,
 )
 
@@ -235,12 +243,20 @@ def run_episode(
     return _metrics(config, discounted, queue_total_sum, serve_ct, switch_ct)
 
 
-# A group of esl or fcfs episodes with fewer lanes than this runs episode
-# by episode through run_episode.  Best of 3 at (6, 3), alpha 0.8, 2,000
-# slots on 2 cores, lockstep against run_episode: esl 139 vs 154 ms at 8
-# lanes, fcfs 265 vs 312 ms at 10 (255 vs 247 at 8); at 2 lanes the
-# scalar loop is 3-4x faster.
-LOCKSTEP_MIN_LANES = 10
+# An esl or fcfs group with fewer lanes than this runs lane by lane in
+# run_slot_loop, a larger one in run_lockstep.  At (6, 3) and 2,000 slots
+# on 2 cores, ms per group, slot loop / lockstep (best of 3, lowest of
+# three passes):
+#
+#   lanes            8         10        12        16        20        24
+#   esl  alpha 0.2  36 / 78   46 / 81   55 / 83   74 / 83   90 / 85  109 / 85
+#   esl  alpha 0.8  34 / 78   42 / 80   51 / 81   68 / 86   85 / 86  101 / 88
+#   fcfs alpha 0.2  41 / 132  51 / 136  62 / 141  82 / 145 104 / 149 121 / 149
+#   fcfs alpha 0.8  60 / 146  78 / 153  89 / 146 120 / 150 150 / 155 176 / 159
+#
+# The loop wins everywhere up to 16 lanes.  esl crosses over near 20 lanes
+# and fcfs between 20 and 24 (past 24 at alpha 0.2).
+LOCKSTEP_MIN_LANES = 20
 
 
 def _fcfs_book(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +273,10 @@ def _fcfs_book(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stamps = np.zeros(int(counts.sum()) + 1, dtype=np.int32)
     for k in range(num_lanes):
         lo = cursor[k, 0]
-        slots = np.nonzero(table[:, k, :].T)[1]
+        # flat indexes into the lane's (N, horizon) transpose, location by
+        # location and in time order; one index array, not nonzero's two
+        slots = np.flatnonzero(table[:, k, :].T)
+        np.remainder(slots, len(table), out=slots)
         stamps[lo:lo + len(slots)] = slots
     return stamps, cursor
 
@@ -273,6 +292,74 @@ def _lane_group_key(config: ExperimentConfig) -> tuple:
         config.horizon,
         config.policy,
     )
+
+
+def run_slot_loop(
+    group: Sequence[tuple[ExperimentConfig, int]], table: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """run_lanes' kernel for an esl or fcfs group below LOCKSTEP_MIN_LANES
+    and its (horizon, R, N) arrival table: each lane's sums over its
+    episode, as run_lockstep's.
+
+    The lanes run one after another on plain int lists, one slot per
+    step, with the integer rules serve_then_seek_ends for esl and
+    fcfs_ends for fcfs: a robot serves iff it ends the slot on the nonempty
+    queue it started on.  fcfs reads each location's head stamp from the
+    FIFO book (_fcfs_book), whose cursor advances on each serve.  Every
+    slot the end locations must be distinct and on the map
+    (InfeasibleActionError otherwise), the sums repeat run_episode's float
+    operations in order, and at the end every queue must be non-negative
+    and each lane's queue total equal its arrivals less its serves.
+    """
+    first = group[0][0]
+    model = first.model
+    m, beta = model.num_robots, model.discount
+    board = frozenset(range(model.num_locations))
+    start = initial_state(model)
+    fcfs = first.policy == "fcfs"
+    if fcfs:
+        stamps, cursors = _fcfs_book(table)
+        book = memoryview(stamps)
+    sums = []
+    for k in range(len(group)):
+        robots, queues = start.robots, list(start.queues)
+        if fcfs:
+            cursor = cursors[k].tolist()
+            heads = [book[c] for c in cursor]
+        discounted = 0.0
+        weight = 1.0
+        queued = served = switched = 0
+        for arrivals in lane_rows(table, k):
+            total = sum(queues)
+            discounted += weight * total
+            weight *= beta
+            queued += total
+            if fcfs:
+                ends = fcfs_ends(robots, queues, heads)
+            else:
+                ends = serve_then_seek_ends(robots, queues, longest_first=True)
+            # an end off the board or shared with another robot is missing
+            # from the intersection
+            if len(board.intersection(ends)) != m:
+                raise InfeasibleActionError("infeasible action")
+            for loc, end in zip(robots, ends):
+                if end != loc:
+                    switched += 1
+                elif queues[loc] > 0:
+                    queues[loc] -= 1
+                    served += 1
+                    if fcfs:
+                        cursor[loc] += 1
+                        heads[loc] = book[cursor[loc]]
+            robots = ends
+            queues = list(map(add, queues, arrivals))
+        arrived = int(np.count_nonzero(table[:, k]))
+        if min(queues) < 0 or sum(queues) != arrived - served:
+            raise RuntimeError(
+                "queue conservation broken inside the slot loop"
+            )
+        sums.append((discounted, queued, served, switched))
+    return tuple(np.array(column) for column in zip(*sums))
 
 
 def run_lockstep(
@@ -438,11 +525,11 @@ def run_lanes(
 ) -> list[EpisodeMetrics]:
     """run_episode(config, seed) for every (config, seed) lane of one
     group, in order.  The lanes must share N, M, discount, horizon and
-    policy (else ValueError).  esl and fcfs groups below LOCKSTEP_MIN_LANES
-    run through run_episode; otherwise the group's arrival table is drawn
-    once and a kernel, run_cyclic_scan for cyclic and run_lockstep for esl
-    and fcfs, sums each lane's episode, which _metrics turns into
-    run_episode's EpisodeMetrics exactly."""
+    policy (else ValueError).  The group's arrival table is drawn once and
+    a kernel sums each lane's episode: run_cyclic_scan for cyclic, and for
+    esl and fcfs run_lockstep from LOCKSTEP_MIN_LANES lanes up and
+    run_slot_loop below.  _metrics turns the sums into run_episode's
+    EpisodeMetrics exactly."""
     if not group:
         return []
     first = group[0][0]
@@ -452,15 +539,17 @@ def run_lanes(
             "the lanes of a group must share N, M, discount, horizon and "
             "policy"
         )
-    cyclic = first.policy == "cyclic"
-    if not cyclic and len(group) < LOCKSTEP_MIN_LANES:
-        return [run_episode(config, seed) for config, seed in group]
+    if first.policy == "cyclic":
+        kernel = run_cyclic_scan
+    elif len(group) < LOCKSTEP_MIN_LANES:
+        kernel = run_slot_loop
+    else:
+        kernel = run_lockstep
     table = arrival_table(
         [seed for _, seed in group],
         [config.model.arrival_probs for config, _ in group],
         first.horizon,
     )
-    kernel = run_cyclic_scan if cyclic else run_lockstep
     sums = kernel(group, table)
     return [
         _metrics(config, *lane)

@@ -11,7 +11,8 @@ joint actions must keep that true one slot ahead.
 LockstepLanes is step's array form: many runs of one instance advanced
 together, with the same feasibility checks (lane_feasible; the cyclic
 scan checks its schedule with its collision half, lane_collision_free).
-arrival_table draws the arrivals of every engine, one lane or many.
+arrival_table draws the arrivals of every engine, one lane or many, and
+lane_rows hands one lane of them to a slot loop as Python rows.
 """
 
 from __future__ import annotations
@@ -239,6 +240,15 @@ def arrival_table(seeds, probs, stop: int, start: int = 0) -> np.ndarray:
             for k in lanes:
                 np.less(uniforms, probs[k], out=chunk[:, k])
     return table
+
+
+def lane_rows(table: np.ndarray, lane: int):
+    """Lane lane's rows of a (T, R, N) arrival table as lists of 0/1 ints,
+    converted _ARRIVAL_CHUNK_ROWS rows at a time, so that the rows of a
+    long episode never all exist at once."""
+    column = table[:, lane].view(np.int8)
+    for t0 in range(0, len(column), _ARRIVAL_CHUNK_ROWS):
+        yield from column[t0:t0 + _ARRIVAL_CHUNK_ROWS].tolist()
 
 
 def lane_collision_free(end, num_locations: int) -> np.ndarray:

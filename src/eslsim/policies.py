@@ -7,9 +7,16 @@ reads the waiting tasks' arrival slots from its arguments, and cyclic_decide
 the slot index, since a patrolling robot's location depends on the slot
 alone.  FcfsPolicy holds the waiting tasks for one episode and CyclicPolicy
 each robot's patrol leg; reset sets them from the start state.
-serve_then_seek_lanes and fcfs_lanes are serve_then_seek and fcfs_decide
-over arrays of lanes: the lockstep engine's esl and fcfs rules, the first
-also the rule the exact solver's audit checks.
+
+esl and fcfs each have one rule body in integer form,
+serve_then_seek_ends and fcfs_ends: from the robots' locations and the
+queue lengths (and, for fcfs, the head stamps) they give each robot's end
+location, and a robot serves iff it stays on a nonempty queue.  The slot
+loop kernel runs them as they are; serve_then_seek and fcfs_decide render
+them as joint actions (_joint_of_ends).  serve_then_seek_lanes and
+fcfs_lanes are the same rules over arrays of lanes: the lockstep engine's
+esl and fcfs rules, the first also the rule the exact solver's audit
+checks.
 """
 
 from __future__ import annotations
@@ -43,38 +50,55 @@ class DegenerateRateError(ValueError):
     """Dwell tuning needs an arrival probability strictly inside (0, 1)."""
 
 
-def serve_then_seek(state: SystemState, *, longest_first: bool) -> JointAction:
+def serve_then_seek_ends(
+    robots: Sequence[int], queues: Sequence[int], *, longest_first: bool
+) -> list[int]:
     """Serve wherever you stand if tasks wait; send the idle robots to
-    unclaimed nonempty queues in target order.
+    unclaimed nonempty queues in target order.  Returns each robot's end
+    location; a robot serves iff it stays on a nonempty queue.
 
-    Robots at nonempty locations serve.  The rest are matched, in increasing
-    robot index, to distinct unoccupied nonempty locations ordered by queue
-    length (longest first, or shortest first when longest_first is false;
-    ties to the lower location index).  Robots left over after the nonempty
-    locations run out idle in place.
+    Robots at nonempty locations stay and serve.  The rest are matched, in
+    increasing robot index, to distinct unoccupied nonempty locations
+    ordered by queue length (longest first, or shortest first when
+    longest_first is false; ties to the lower location index).  Robots
+    left over after the nonempty locations run out idle in place.
     """
-    robots, queues = state
-    actions: list[RobotAction | None] = [None] * len(robots)
-    seekers: list[int] = []
+    ends = list(robots)
+    targets = None
     for r, loc in enumerate(robots):
-        if queues[loc] > 0:
-            actions[r] = SERVE_ACTION
-        else:
-            seekers.append(r)
-    if seekers:
-        occupied = set(robots)
-        targets = [
-            i
-            for i in range(len(queues))
-            if queues[i] > 0 and i not in occupied
-        ]
-        sign = -1 if longest_first else 1
-        targets.sort(key=lambda i: (sign * queues[i], i))
-        for r, dest in zip(seekers, targets):
-            actions[r] = switch_to(dest)
-        for r in seekers[len(targets):]:
-            actions[r] = IDLE_ACTION
-    return tuple(actions)
+        if queues[loc] <= 0:
+            if targets is None:
+                targets = []
+                for i, q in enumerate(queues):
+                    if q > 0 and i not in robots:
+                        targets.append(i)
+                # a stable sort keeps ties in index order, reversed or not
+                targets.sort(key=queues.__getitem__, reverse=longest_first)
+                targets = iter(targets)
+            ends[r] = next(targets, loc)
+    return ends
+
+
+def _joint_of_ends(
+    robots: Sequence[int], queues: Sequence[int], ends: Sequence[int]
+) -> JointAction:
+    """The RobotAction joint of end locations: a robot that stays serves
+    if its queue is nonempty and idles otherwise; one that moves switches."""
+    return tuple(
+        switch_to(end) if end != loc
+        else SERVE_ACTION if queues[loc] > 0 else IDLE_ACTION
+        for loc, end in zip(robots, ends)
+    )
+
+
+def serve_then_seek(state: SystemState, *, longest_first: bool) -> JointAction:
+    """serve_then_seek_ends as a joint action."""
+    robots, queues = state
+    return _joint_of_ends(
+        robots,
+        queues,
+        serve_then_seek_ends(robots, queues, longest_first=longest_first),
+    )
 
 
 _LAST = np.iinfo(np.int64).max
@@ -83,7 +107,7 @@ _LAST = np.iinfo(np.int64).max
 def serve_then_seek_lanes(
     robots: np.ndarray, queues: np.ndarray, *, longest_first: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """serve_then_seek in every lane: robots is an (R, M) and queues an
+    """serve_then_seek_ends in every lane: robots is an (R, M) and queues an
     (R, N) integer array, each row one lane's state.  Returns the (R, M)
     served flags and end locations.
 
@@ -122,60 +146,62 @@ esl_decide = partial(serve_then_seek, longest_first=True)
 switch_to_shortest_decide = partial(serve_then_seek, longest_first=False)
 
 
+def fcfs_ends(
+    robots: Sequence[int], queues: Sequence[int], heads: Sequence[int]
+) -> list[int]:
+    """Chase the globally oldest waiting tasks, first come first served.
+    heads[i] is the arrival slot of the oldest task waiting at location i
+    (read only where one waits).  Returns each robot's end location; a
+    robot serves iff it stays on a nonempty queue.
+
+    Nonempty locations are ranked by their head (earlier first); ties
+    prefer a location already hosting a robot, then the lower location
+    index.  Walking the first M of the ranking, a location whose host is
+    still unmatched keeps it (the host serves in place); otherwise the
+    lowest-indexed unmatched robot switches there.  That move is always
+    collision-free: when the target hosts a robot at all, that robot was
+    matched earlier in the walk, necessarily as a switcher, so it is
+    leaving.  Robots left unmatched stay, serving their own queue if it is
+    nonempty and idling otherwise.
+    """
+    n = len(queues)
+    # rank key (head, not hosted, index) packed into one integer
+    ranked = []
+    for i, q in enumerate(queues):
+        if q > 0:
+            ranked.append((heads[i] * 2 + (i not in robots)) * n + i)
+    ranked.sort()
+    ends = list(robots)
+    unmatched = list(range(len(robots)))
+    for key in ranked[:len(robots)]:
+        loc = key % n
+        if loc in robots:
+            host = robots.index(loc)
+            if host in unmatched:
+                unmatched.remove(host)
+                continue
+        ends[unmatched.pop(0)] = loc
+    return ends
+
+
 def fcfs_decide(
     state: SystemState, waiting: Sequence[deque[int]]
 ) -> JointAction:
-    """Chase the globally oldest waiting tasks, first come first served.
-
-    waiting[i] holds the arrival slots of the tasks waiting at location i,
-    oldest first; its length must equal queues[i], else AgeBookDesyncError.
-    Nonempty locations are ranked by the arrival slot of their oldest task
-    (earlier first); ties prefer a location already hosting a robot,
-    then the lower location index.  Walking the ranking, a location whose
-    host is still unmatched keeps it (the host serves in place); otherwise
-    the lowest-indexed unmatched robot switches there.  That move is always
-    collision-free: when the target hosts a robot at all, that robot was
-    matched earlier in the walk, necessarily as a switcher, so it is
-    leaving.  Robots left unmatched serve their own queue if it is nonempty
-    and idle otherwise.
-    """
+    """fcfs_ends as a joint action.  waiting[i] holds the arrival slots of
+    the tasks waiting at location i, oldest first; its length must equal
+    queues[i], else AgeBookDesyncError."""
     robots, queues = state
     for i, q in enumerate(queues):
         if len(waiting[i]) != q:
             raise AgeBookDesyncError("age book desync")
-    num_robots = len(robots)
-    host = {loc: r for r, loc in enumerate(robots)}
-    ranked = sorted(
-        (i for i in range(len(queues)) if queues[i] > 0),
-        key=lambda i: (waiting[i][0], 0 if i in host else 1, i),
-    )
-    actions: list[RobotAction | None] = [None] * num_robots
-    assigned = 0
-    for loc in ranked:
-        if assigned == num_robots:
-            break
-        r = host.get(loc)
-        if r is not None and actions[r] is None:
-            actions[r] = SERVE_ACTION
-            assigned += 1
-            continue
-        for r2 in range(num_robots):
-            if actions[r2] is None:
-                actions[r2] = switch_to(loc)
-                assigned += 1
-                break
-    for r in range(num_robots):
-        if actions[r] is None:
-            actions[r] = (
-                SERVE_ACTION if queues[robots[r]] > 0 else IDLE_ACTION
-            )
-    return tuple(actions)
+    heads = [w[0] if w else 0 for w in waiting]
+    return _joint_of_ends(robots, queues, fcfs_ends(robots, queues, heads))
 
 
 def fcfs_lanes(
     robots: np.ndarray, queues: np.ndarray, heads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """fcfs_decide in every lane: robots is an (R, M) and queues an (R, N)
+    """fcfs_ends in every lane: robots is an (R, M) and queues an (R, N)
     integer array, each row one lane's state, and heads[k, i] the arrival
     slot of the oldest task waiting at location i of lane k (read only
     where one waits).  Returns the (R, M) served flags and end locations.

@@ -498,15 +498,84 @@ def test_run_grid_lockstep_matches_run_episode(monkeypatch, policy, n, m):
     assert seen == want
 
 
-def test_lane_rule_runs_small_groups_through_run_episode(monkeypatch):
+def test_lane_rule_keeps_small_groups_off_the_lockstep(monkeypatch):
+    """An fcfs group one lane short of LOCKSTEP_MIN_LANES runs in the slot
+    loop, not the lockstep, and still gives run_episode's metrics."""
     cfg = config_for("fcfs", p=0.3, horizon=60)
     small = [(cfg, seed) for seed in range(evaluator.LOCKSTEP_MIN_LANES - 1)]
 
     def lockstep(*args):
-        raise AssertionError("a small group must run episode by episode")
+        raise AssertionError("a small group must run in the slot loop")
 
     monkeypatch.setattr(evaluator, "run_lockstep", lockstep)
     assert evaluator.run_lanes(small) == [run_episode(c, s) for c, s in small]
+
+
+@pytest.mark.parametrize("n,m", LOCKSTEP_SHAPES)
+@pytest.mark.parametrize("policy", ["esl", "fcfs"])
+@pytest.mark.parametrize(
+    "count", [1, 2, evaluator.LOCKSTEP_MIN_LANES - 1]
+)
+def test_slot_loop_matches_run_episode(monkeypatch, count, policy, n, m):
+    """Groups too small for the lockstep, led by the alpha = 0.95 cell.
+    Wherever robots are fewer than locations, its fcfs queues average 12
+    to 19 tasks over 300 slots, so the head stamps fall far behind the
+    slot.  Small arrival chunks make each lane's rows cross several chunk
+    boundaries."""
+    monkeypatch.setattr("eslsim.model._ARRIVAL_CHUNK_ROWS", 7)
+    cells = lockstep_cells(policy, n, m, horizon=300)
+    lanes = [(cells[(k + 2) % 3], 100 + k) for k in range(count)]
+    want = [run_episode(cell, seed) for cell, seed in lanes]
+    forbid_run_episode(monkeypatch)
+    assert evaluator.run_lanes(lanes) == want
+
+
+SLOT_LOOP_RULES = {"esl": "serve_then_seek_ends", "fcfs": "fcfs_ends"}
+
+
+@pytest.mark.parametrize("fault", ["shared", "off the map"])
+@pytest.mark.parametrize("policy", ["esl", "fcfs"])
+def test_slot_loop_checks_every_slot(monkeypatch, policy, fault):
+    """Ends that go wrong in one lane at one late slot are caught there."""
+    name = SLOT_LOOP_RULES[policy]
+    real = getattr(evaluator, name)
+    calls = []
+
+    def faulty(*args, **kwargs):
+        ends = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 37:
+            ends[1] = ends[0] if fault == "shared" else 4
+        return ends
+
+    monkeypatch.setattr(evaluator, name, faulty)
+    cfg = config_for(policy, n=4, m=2, p=0.3, horizon=60)
+    with pytest.raises(InfeasibleActionError):
+        evaluator.run_lanes([(cfg, seed) for seed in range(2)])
+    assert len(calls) == 37
+
+
+@pytest.mark.parametrize("policy", ["esl", "fcfs"])
+def test_slot_loop_conservation_check_catches_a_dropped_task(
+    monkeypatch, policy
+):
+    """A task lost from the second lane's queues at a late slot breaks
+    final queue total = arrivals - serves."""
+    name = SLOT_LOOP_RULES[policy]
+    real = getattr(evaluator, name)
+    calls = []
+
+    def dropping(robots, queues, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 60 + 50:
+            queues[queues.index(max(queues))] -= 1
+        return real(robots, queues, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, name, dropping)
+    cfg = config_for(policy, n=4, m=2, p=0.3, horizon=60)
+    with pytest.raises(RuntimeError, match="conservation"):
+        evaluator.run_lanes([(cfg, seed) for seed in range(2)])
+    assert len(calls) == 120
 
 
 def test_lockstep_rejects_mixed_lanes():
@@ -608,7 +677,9 @@ def test_lockstep_checks_every_slot(monkeypatch):
     monkeypatch.setattr(evaluator, "serve_then_seek_lanes", faulty)
     cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
     with pytest.raises(InfeasibleActionError):
-        evaluator.run_lanes([(cfg, seed) for seed in range(12)])
+        evaluator.run_lanes(
+            [(cfg, seed) for seed in range(evaluator.LOCKSTEP_MIN_LANES + 2)]
+        )
     assert len(calls) == 37
 
 
@@ -628,7 +699,9 @@ def test_lockstep_conservation_check_catches_a_dropped_task(monkeypatch):
     monkeypatch.setattr(evaluator.LockstepLanes, "step", dropping)
     cfg = config_for("esl", n=4, m=2, p=0.3, horizon=60)
     with pytest.raises(RuntimeError, match="conservation"):
-        evaluator.run_lanes([(cfg, seed) for seed in range(12)])
+        evaluator.run_lanes(
+            [(cfg, seed) for seed in range(evaluator.LOCKSTEP_MIN_LANES + 2)]
+        )
     assert len(calls) == 60
 
 
